@@ -188,8 +188,8 @@ impl ReplacementPolicy for ArcPolicy {
         16
     }
 
-    // One global `p` trained by every set's ghost hits: sharding would
-    // split the adaptation stream. Default ShardAffinity::Global is
+    // One global `p` trained by every set's ghost hits: splitting the
+    // stream by set would split the adaptation stream. Default ShardAffinity::Global is
     // correct and load-bearing.
 
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {

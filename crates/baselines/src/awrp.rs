@@ -30,9 +30,9 @@ pub const FREQ_MAX: u8 = 15;
 /// timestamp and take a branchless `min` (the [`crate::TrueLru`]
 /// trick), and — unlike a cache-global clock — per-set timestamps make
 /// weight *differences* depend only on the set's own access
-/// subsequence, which stable shard bucketing preserves. A global clock
+/// subsequence, which splitting a stream by set preserves. A global clock
 /// would stretch gaps by other sets' traffic and flip weight
-/// comparisons under sharded replay; with per-set clocks the policy is
+/// comparisons between a whole and a per-set replay; with per-set clocks the policy is
 /// exactly [`ShardAffinity::SetLocal`].
 #[derive(Debug, Clone)]
 pub struct AwrpPolicy {
@@ -124,7 +124,7 @@ impl ReplacementPolicy for AwrpPolicy {
 
     // Per-set clocks (see the struct docs): every quantity the victim
     // comparison reads is a function of the set's own access
-    // subsequence, so sharded replay is exact.
+    // subsequence, so a per-set replay is exact.
     fn shard_affinity(&self) -> ShardAffinity {
         ShardAffinity::SetLocal
     }

@@ -114,7 +114,8 @@ impl ReplacementPolicy for EhcPolicy {
     }
 
     // The EHCT is one table shared by every set and trained on evictions
-    // from all of them; sharding would split its training stream.
+    // from all of them; splitting the stream by set would split its
+    // training stream.
     // Default ShardAffinity::Global is correct and load-bearing.
 
     fn audit_set_digest(&self, set: usize) -> Option<Vec<u8>> {

@@ -89,8 +89,8 @@ impl ReplacementPolicy for TrueLru {
 
     // The timestamp clock is global, but victim selection is an argmin of
     // `last_use` *within one set*: only the relative order of a set's own
-    // timestamps matters, and stable bucketing preserves per-set access
-    // order, so the argmin is identical under sharded replay.
+    // timestamps matters, and splitting a stream by set preserves per-set
+    // access order, so the argmin is identical under a per-set replay.
     fn shard_affinity(&self) -> ShardAffinity {
         ShardAffinity::SetLocal
     }

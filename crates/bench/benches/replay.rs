@@ -12,11 +12,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use harness::seed_replay::replay_llc_seed;
-use mem_model::{
-    default_warmup, replay_llc, replay_llc_mono, replay_llc_sharded, replay_llc_sliced,
-    replay_many_sharded, WindowPerfModel,
-};
-use sim_core::{Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardedStream};
+use mem_model::{default_warmup, replay_llc, replay_llc_mono, replay_llc_sliced, WindowPerfModel};
+use sim_core::{Access, CacheGeometry, ReplacementPolicy};
 use std::hint::black_box;
 
 fn mixed_stream(n: usize) -> Vec<Access> {
@@ -99,60 +96,6 @@ fn bench_replay_engines(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_replay_sharded(c: &mut Criterion) {
-    let geom = CacheGeometry::new(128 * 1024, 16, 64).unwrap();
-    let stream = mixed_stream(50_000);
-    let warmup = default_warmup(stream.len());
-    let perf = WindowPerfModel::default();
-    // A pinned 8-shard routing (independent of host core count) shared by
-    // every measurement, like the figure harness shares one routing per
-    // workload across its roster.
-    let sharded = ShardedStream::build(&stream, &geom, warmup, 8);
-
-    let mut g = c.benchmark_group("replay_sharded");
-    g.throughput(Throughput::Elements((stream.len() - warmup) as u64));
-
-    g.bench_function("route/8-shards", |b| {
-        b.iter(|| black_box(ShardedStream::build(black_box(&stream), &geom, warmup, 8)))
-    });
-
-    g.bench_function("mono/PseudoLRU", |b| {
-        b.iter(|| {
-            black_box(replay_llc_sharded(
-                &sharded,
-                || gippr::PlruPolicy::new(&geom),
-                &perf,
-            ))
-        })
-    });
-
-    g.bench_function("mono/LRU", |b| {
-        b.iter(|| {
-            black_box(replay_llc_sharded(
-                &sharded,
-                || baselines::TrueLru::new(&geom),
-                &perf,
-            ))
-        })
-    });
-
-    // The full batch entry: three dyn policies through one pre-routed
-    // stream, (policy x shard) units on the worker pool.
-    let roster: Vec<PolicyFactory> = vec![
-        sim_core::policy::factory(|g| Box::new(baselines::TrueLru::new(g))),
-        sim_core::policy::factory(|g| Box::new(gippr::PlruPolicy::new(g))),
-        sim_core::policy::factory(|g| {
-            Box::new(gippr::GipprPolicy::new(g, gippr::vectors::wi_gippr()).unwrap())
-        }),
-    ];
-    let refs: Vec<&PolicyFactory> = roster.iter().collect();
-    g.bench_function("batch_dyn/3-policies", |b| {
-        b.iter(|| black_box(replay_many_sharded(&stream, &sharded, &refs, &perf)))
-    });
-
-    g.finish();
-}
-
 fn bench_replay_sliced(c: &mut Criterion) {
     let geom = CacheGeometry::new(128 * 1024, 16, 64).unwrap();
     let stream = mixed_stream(50_000);
@@ -211,10 +154,5 @@ fn bench_replay_sliced(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    replay_bench,
-    bench_replay_engines,
-    bench_replay_sharded,
-    bench_replay_sliced
-);
+criterion_group!(replay_bench, bench_replay_engines, bench_replay_sliced);
 criterion_main!(replay_bench);

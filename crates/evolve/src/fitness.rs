@@ -9,14 +9,8 @@
 
 use gippr::{DgipprPolicy, GiplrPolicy, GipprPolicy, Ipv};
 use mem_model::cpi::LinearCpiModel;
-use mem_model::{
-    capture_llc_stream, replay_llc_mono, replay_llc_sharded, replay_llc_sliced, HierarchyConfig,
-    WindowPerfModel,
-};
-use sim_core::{
-    Access, CacheGeometry, ReplacementPolicy, SampledStream, ShardAffinity, ShardedStream,
-    StackDistanceProfile,
-};
+use mem_model::{capture_llc_stream, replay_dispatch, HierarchyConfig, WindowPerfModel};
+use sim_core::{Access, CacheGeometry, ReplacementPolicy, SampledStream, StackDistanceProfile};
 use std::sync::Arc;
 use traces::spec2006::Spec2006;
 use traces::WorkloadSpec;
@@ -100,10 +94,6 @@ pub struct WorkloadStream {
     pub name: String,
     /// The captured LLC access stream (shared, replayed by every candidate).
     pub stream: Arc<Vec<Access>>,
-    /// The same stream pre-routed by set index, built once at context
-    /// construction; set-local candidates replay it shard by shard every
-    /// generation without re-deriving set/tag per access.
-    pub sharded: Arc<ShardedStream>,
     /// Accesses used to warm the cache before measuring.
     pub warmup: usize,
     /// Instructions represented by the measured portion.
@@ -119,7 +109,7 @@ pub struct WorkloadStream {
     /// Set-sampled sub-stream and its LRU baseline (fidelity 2 of the
     /// evaluation ladder). Built once at context construction from the
     /// same capture, so the sampled subset is a pure function of the
-    /// stream and geometry — identical across shard counts and resumes.
+    /// stream and geometry — identical across thread counts and resumes.
     pub sampled: Arc<SampledWorkload>,
     /// Simpoint/benchmark weight in the mean.
     pub weight: f64,
@@ -159,18 +149,11 @@ impl FitnessContext {
                 // prefilter below.
                 let profile =
                     StackDistanceProfile::capture(&stream, &config.llc, warmup, config.llc.ways());
-                let sharded = ShardedStream::for_parallelism(
-                    &stream,
-                    &config.llc,
-                    warmup,
-                    sim_core::pool::global().cap(),
-                );
                 let sampled =
                     SampledWorkload::build(&stream, &config.llc, warmup, DEFAULT_SAMPLE_EVERY, 0);
                 WorkloadStream {
                     name: scaled.name.clone(),
                     stream: Arc::new(stream),
-                    sharded: Arc::new(sharded),
                     warmup,
                     instructions: profile.instructions().max(1),
                     lru_misses: profile.misses(config.llc.ways()),
@@ -253,19 +236,6 @@ impl FitnessContext {
         }
     }
 
-    /// Re-routes every captured stream into exactly `shards` shards
-    /// (power of two, at most the geometry's set count). The default
-    /// routing follows the worker pool's budget; tests and benchmarks use
-    /// this to pin a specific routing regardless of host parallelism.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        for ws in &mut self.streams {
-            ws.sharded = Arc::new(ShardedStream::build(
-                &ws.stream, &self.geom, ws.warmup, shards,
-            ));
-        }
-        self
-    }
-
     /// Returns a context restricted to streams whose names pass `keep`
     /// (the WN1 holdout mechanism).
     pub fn filtered<F: Fn(&str) -> bool>(&self, keep: F) -> FitnessContext {
@@ -282,39 +252,36 @@ impl FitnessContext {
         }
     }
 
-    /// The GA inner loop: replays every stream against a fresh policy from
-    /// `make`. Generic over the concrete policy type so the whole replay —
-    /// dispatch, tag scan, stats — monomorphizes per substrate instead of
-    /// paying double virtual dispatch through `Box<dyn>`.
-    fn speedup_with<P: ReplacementPolicy, F: Fn() -> P>(&self, make: F) -> f64 {
+    /// The GA inner loop: the weighted-mean linear-CPI speedup over LRU of
+    /// a fresh policy from `make` on every workload. With `sampled`, only
+    /// the set-sampled sub-streams replay, against their own sampled LRU
+    /// baselines (ladder fidelity 2): for set-local policies the per-set
+    /// results are exact (set independence, proven by the shard-affinity
+    /// model check), so only the aggregation over a subset of sets makes
+    /// it an estimate of the full-stream fitness.
+    ///
+    /// Every replay goes through [`replay_dispatch`]: the bit-sliced engine
+    /// for the GIPPR/GIPLR substrates, the monomorphized engine for the
+    /// DGIPPR duel's cache-global PSEL. Generic over the concrete policy
+    /// type so the mono replay monomorphizes per substrate instead of
+    /// paying virtual dispatch through `Box<dyn>`. Parallelism lives one
+    /// level up, across genomes ([`FitnessContext::fitness_many`]).
+    fn speedup_with<P: ReplacementPolicy, F: Fn() -> P>(&self, sampled: bool, make: F) -> f64 {
         let perf = WindowPerfModel::default();
-        // One probe instance picks the replay path: set-local policies
-        // (GIPPR/GIPLR substrates) reuse the routing pre-pass captured at
-        // context construction when it actually fans out; otherwise the
-        // bit-sliced kernel engine runs the whole stream when the policy
-        // describes one (GIPPR/GIPLR always do), and the monomorphized
-        // sequential replay covers the rest (cache-global policies such
-        // as the DGIPPR duel's PSEL, or kernels declining the geometry).
-        // All paths produce bit-identical results.
-        let probe = make();
-        let set_local = probe.shard_affinity() == ShardAffinity::SetLocal;
-        let kernel = probe.slice_kernel();
         let mut total_weight = 0.0;
         let mut total = 0.0;
         for ws in &self.streams {
-            let run = if set_local && ws.sharded.shards() > 1 {
-                replay_llc_sharded(&ws.sharded, &make, &perf)
-            } else if let Some(run) = kernel
-                .as_ref()
-                .and_then(|k| replay_llc_sliced(&ws.stream, self.geom, k, ws.warmup, &perf))
-            {
-                run
+            let sw = &ws.sampled;
+            let (stream, warmup, instructions, lru_misses) = if sampled {
+                let s = &sw.stream;
+                (s.stream(), s.warmup(), sw.instructions, sw.lru_misses)
             } else {
-                replay_llc_mono(&ws.stream, self.geom, make(), ws.warmup, &perf)
+                (&ws.stream[..], ws.warmup, ws.instructions, ws.lru_misses)
             };
+            let run = replay_dispatch(stream, self.geom, make(), warmup, &perf).run;
             let speedup = self
                 .model
-                .speedup(ws.instructions, ws.lru_misses, run.stats.misses);
+                .speedup(instructions, lru_misses, run.stats.misses);
             total += speedup * ws.weight;
             total_weight += ws.weight;
         }
@@ -337,57 +304,16 @@ impl FitnessContext {
         self
     }
 
-    /// The sampled-tier analogue of [`speedup_with`](Self::speedup_with):
-    /// replays only the sampled sub-streams against their own sampled LRU
-    /// baselines. For set-local policies the per-set results are exact
-    /// (set independence, proven by the shard-affinity model check) —
-    /// only the *aggregation* over a subset of sets makes this an
-    /// estimate of the full-stream fitness. Shard routing never touches
-    /// this path, so the value is bit-identical across shard counts.
-    fn sampled_speedup_with<P: ReplacementPolicy, F: Fn() -> P>(&self, make: F) -> f64 {
-        let perf = WindowPerfModel::default();
-        let probe = make();
-        let kernel = probe.slice_kernel();
-        let mut total_weight = 0.0;
-        let mut total = 0.0;
-        for ws in &self.streams {
-            let sw = &ws.sampled;
-            let run = if let Some(run) = kernel.as_ref().and_then(|k| {
-                replay_llc_sliced(sw.stream.stream(), self.geom, k, sw.stream.warmup(), &perf)
-            }) {
-                run
-            } else {
-                replay_llc_mono(
-                    sw.stream.stream(),
-                    self.geom,
-                    make(),
-                    sw.stream.warmup(),
-                    &perf,
-                )
-            };
-            let speedup = self
-                .model
-                .speedup(sw.instructions, sw.lru_misses, run.stats.misses);
-            total += speedup * ws.weight;
-            total_weight += ws.weight;
-        }
-        if total_weight == 0.0 {
-            1.0
-        } else {
-            total / total_weight
-        }
-    }
-
     /// Set-sampled mean speedup of a single vector (ladder fidelity 2):
     /// an exact per-set replay of one in
     /// [`SampledStream::every`](sim_core::SampledStream::every) sets.
     pub fn fitness_single_sampled(&self, ipv: &Ipv, substrate: Substrate) -> f64 {
         let geom = self.geom;
         match substrate {
-            Substrate::Plru => self.sampled_speedup_with(|| {
+            Substrate::Plru => self.speedup_with(true, || {
                 GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches")
             }),
-            Substrate::Lru => self.sampled_speedup_with(|| {
+            Substrate::Lru => self.speedup_with(true, || {
                 GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches")
             }),
         }
@@ -410,7 +336,7 @@ impl FitnessContext {
         );
         let geom = self.geom;
         let leaders = (geom.sets() / 64).clamp(4, 32);
-        self.sampled_speedup_with(|| {
+        self.speedup_with(true, || {
             DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
                 .expect("valid duel config")
         })
@@ -447,12 +373,12 @@ impl FitnessContext {
     pub fn fitness_single(&self, ipv: &Ipv, substrate: Substrate) -> f64 {
         let geom = self.geom;
         match substrate {
-            Substrate::Plru => {
-                self.speedup_with(|| GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches"))
-            }
-            Substrate::Lru => {
-                self.speedup_with(|| GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches"))
-            }
+            Substrate::Plru => self.speedup_with(false, || {
+                GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches")
+            }),
+            Substrate::Lru => self.speedup_with(false, || {
+                GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches")
+            }),
         }
     }
 
@@ -471,7 +397,7 @@ impl FitnessContext {
         // Smaller scaled caches have fewer sets; shrink the leader count to
         // fit while keeping the paper's 32 for full-size runs.
         let leaders = (geom.sets() / 64).clamp(4, 32);
-        self.speedup_with(|| {
+        self.speedup_with(false, || {
             DgipprPolicy::with_config(&geom, vectors.to_vec(), leaders, "DGIPPR")
                 .expect("valid duel config")
         })
@@ -483,21 +409,16 @@ impl FitnessContext {
         self.streams
             .iter()
             .map(|ws| {
+                let (stream, geom, warmup) = (&ws.stream, self.geom, ws.warmup);
                 let run = match substrate {
-                    Substrate::Plru => replay_llc_mono(
-                        &ws.stream,
-                        self.geom,
-                        GipprPolicy::new(&self.geom, ipv.clone()).expect("assoc matches"),
-                        ws.warmup,
-                        &perf,
-                    ),
-                    Substrate::Lru => replay_llc_mono(
-                        &ws.stream,
-                        self.geom,
-                        GiplrPolicy::new(&self.geom, ipv.clone()).expect("assoc matches"),
-                        ws.warmup,
-                        &perf,
-                    ),
+                    Substrate::Plru => {
+                        let p = GipprPolicy::new(&geom, ipv.clone()).expect("assoc matches");
+                        replay_dispatch(stream, geom, p, warmup, &perf).run
+                    }
+                    Substrate::Lru => {
+                        let p = GiplrPolicy::new(&geom, ipv.clone()).expect("assoc matches");
+                        replay_dispatch(stream, geom, p, warmup, &perf).run
+                    }
                 };
                 (
                     ws.name.clone(),
@@ -523,6 +444,7 @@ impl FitnessContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_model::replay_llc_mono;
 
     fn tiny_ctx() -> FitnessContext {
         FitnessContext::for_benchmarks(
@@ -585,17 +507,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fitness_matches_sequential_replay() {
-        // fitness_single routes GIPPR/GIPLR through the pre-routed sharded
-        // path; recomputing the same mean with sequential whole-stream
-        // replays must agree to the bit. Pin a multi-shard routing so the
-        // sharded path is exercised even on single-core hosts (where the
-        // default routing degenerates to one shard and the mono path).
-        let ctx = tiny_ctx().with_shards(4);
+    fn sliced_fitness_matches_mono_replay() {
+        // fitness_single serves GIPPR/GIPLR through the bit-sliced engine;
+        // recomputing the same mean with monomorphized whole-stream
+        // replays must agree to the bit.
+        let ctx = tiny_ctx();
         let ipv = Ipv::lru_insertion(16);
+        let geom = ctx.geometry();
+        let perf = WindowPerfModel::default();
+        let stream = &ctx.streams()[0];
+        for engine in [
+            replay_dispatch(
+                &stream.stream,
+                geom,
+                GipprPolicy::new(&geom, ipv.clone()).unwrap(),
+                0,
+                &perf,
+            )
+            .engine,
+            replay_dispatch(
+                &stream.stream,
+                geom,
+                GiplrPolicy::new(&geom, ipv.clone()).unwrap(),
+                0,
+                &perf,
+            )
+            .engine,
+        ] {
+            assert_eq!(
+                engine,
+                mem_model::Engine::Sliced,
+                "the test must compare sliced to mono"
+            );
+        }
         for substrate in [Substrate::Plru, Substrate::Lru] {
-            let sharded = ctx.fitness_single(&ipv, substrate);
-            let perf = WindowPerfModel::default();
+            let sliced = ctx.fitness_single(&ipv, substrate);
             let mut total = 0.0;
             let mut total_weight = 0.0;
             for ws in ctx.streams() {
@@ -614,7 +560,7 @@ mod tests {
                 total += ctx.model.speedup(ws.instructions, ws.lru_misses, misses) * ws.weight;
                 total_weight += ws.weight;
             }
-            assert_eq!(sharded, total / total_weight, "{substrate:?}");
+            assert_eq!(sliced, total / total_weight, "{substrate:?}");
         }
     }
 

@@ -14,7 +14,7 @@
 //!
 //! Promotion is deterministic: genomes are ranked by (score descending,
 //! encoding ascending), so equal scores break ties identically on every
-//! host, at every shard count, and across checkpoint resumes. Every tier's
+//! host, at every worker count, and across checkpoint resumes. Every tier's
 //! results are memoized under a fidelity-tagged key; elites therefore keep
 //! their full-fidelity scores forever and re-climb the ladder for free.
 

@@ -316,10 +316,10 @@ impl ReplacementPolicy for DgipprPolicy {
     // Explicitly `Global` (the trait default, restated for the record):
     // the PSEL counters are cache-global state fed by leader-set misses,
     // and *every* set — leader or follower — reads the duel winner on its
-    // next fill. Replaying leader-set shards independently would let a
-    // follower shard observe a stale winner relative to sequential PSEL
-    // timing, so DGIPPR takes the sharded engine's sequential
-    // whole-stream fallback, which preserves exact PSEL semantics.
+    // next fill. Replaying set ranges independently would let a follower
+    // set observe a stale winner relative to sequential PSEL timing, so
+    // DGIPPR advertises no slice kernel and always replays whole through
+    // the monomorphized engine, which preserves exact PSEL semantics.
     fn shard_affinity(&self) -> sim_core::ShardAffinity {
         sim_core::ShardAffinity::Global
     }

@@ -1,11 +1,11 @@
-//! Measures replay-engine throughput — the monomorphized engine against
-//! the frozen seed (v0) dyn-dispatch engine, plus the sharded single-pass
-//! batch engine — and emits `BENCH_replay.json`.
+//! Measures replay-engine throughput — the monomorphized and bit-sliced
+//! engines against the frozen seed (v0) dyn-dispatch engine, plus the
+//! figure harness's roster batch — and emits `BENCH_replay.json`.
 //!
 //! Usage: `bench-replay [--scale micro|quick|medium|paper] [--json PATH]`
 //!        `bench-replay --smoke`
 //!
-//! For each policy the same captured LLC stream is replayed through five
+//! For each policy the same captured LLC stream is replayed through four
 //! engines:
 //!
 //! * `seed` — [`harness::seed_replay::replay_llc_seed`], a verbatim copy
@@ -15,42 +15,48 @@
 //! * `dyn` — [`mem_model::replay_llc`], today's engine driving a
 //!   `Box<dyn ReplacementPolicy>` (the `PolicyFactory` compatibility path).
 //! * `mono` — [`mem_model::replay_llc_mono`] at the concrete policy type
-//!   (the GA fitness fast path; no virtual dispatch).
-//! * `sharded` — [`mem_model::replay_many_sharded`], the set-sharded
-//!   batch engine replaying (policy × shard) units on the worker pool.
-//!   Only set-local policies have a sharded engine: the batch dispatcher
-//!   routes global-state rosters (DRRIP, DGIPPR) straight to the
-//!   whole-stream path with no routing pre-pass, so their row reports
-//!   the mono rate (`sharded_speedup` exactly 1.0 by construction)
-//!   rather than timing a phantom engine.
+//!   (no virtual dispatch).
 //! * `slice` — [`mem_model::replay_llc_sliced`], the bit-sliced kernel
 //!   engine (4 PLRU trees per `u64`, SWAR stacks/RRPV arrays). Only
 //!   policies that describe themselves as a [`sim_core::SliceKernel`]
 //!   have this column; global-state policies report `null`.
 //!
-//! The roster is also replayed as one [`mem_model::replay_many`] batch —
-//! routing pre-pass included in the timed region — reported as the
-//! aggregate `batched_accesses_per_sec`.
+//! The roster is also measured as one [`harness::runner::measure_policies`]
+//! batch — the (simpoint × policy) units the figure drivers run — on the
+//! whole worker pool and at one worker, reported as
+//! `batched_accesses_per_sec`, `batched_one_worker_accesses_per_sec` and
+//! their ratio `batched_scaling`.
 //!
 //! Reported rates are accesses per second over the best of several timed
 //! repetitions. `--smoke` skips capture and timing sweeps: it replays a
-//! tiny synthetic stream, asserts the batch engine matches the sequential
-//! engine stat-for-stat across the roster, and applies a generous
-//! throughput floor — a CI-speed guard that the fast path stays both
-//! correct and fast-ish.
+//! tiny synthetic stream, asserts the dispatched and sliced engines match
+//! the sequential engine stat-for-stat across the roster, applies a
+//! generous throughput floor, and on a host with two or more cores
+//! requires the roster batch to scale: at least
+//! [`MIN_BATCH_SCALING`]× the throughput of the same units at one worker.
+//!
+//! Misuse (`--help`, an unknown flag, a missing or bad value) prints the
+//! usage to stderr and exits with status 2.
 
 use baselines::{DrripPolicy, TrueLru};
 use gippr::{DgipprPolicy, GipprPolicy, PlruPolicy};
+use harness::runner::{measure_policies_capped, PolicyMeasurement, SimpointData};
 use harness::seed_replay::replay_llc_seed;
-use harness::{policies, Scale};
+use harness::{policies, Scale, WorkloadData};
 use mem_model::cpi::WindowPerfModel;
-use mem_model::{replay_llc, replay_llc_mono, replay_many, replay_many_sharded, LlcRunResult};
-use sim_core::{
-    Access, CacheGeometry, PolicyFactory, ReplacementPolicy, ShardAffinity, ShardedStream,
-    SliceKernel,
-};
+use mem_model::{replay_dispatch, replay_llc, replay_llc_mono, Engine, LlcRunResult};
+use sim_core::{Access, CacheGeometry, PolicyFactory, ReplacementPolicy, SliceKernel};
+use std::sync::Arc;
 use std::time::Instant;
 use traces::spec2006::Spec2006;
+
+const USAGE: &str = "usage: bench-replay [--scale micro|quick|medium|paper] [--json PATH]\n       \
+                     bench-replay --smoke";
+
+/// Minimum throughput of the roster batch on the whole worker pool over
+/// the same units at one worker, asserted by `--smoke` on hosts with two
+/// or more cores.
+const MIN_BATCH_SCALING: f64 = 1.4;
 
 /// Timed rounds per measurement; each round runs every engine once
 /// (interleaved, so background noise lands on all engines alike) and the
@@ -68,7 +74,6 @@ struct Row {
     seed_rate: f64,
     dyn_rate: f64,
     mono_rate: f64,
-    sharded_rate: f64,
     /// Bit-sliced engine rate; `None` for policies without a `SliceKernel`.
     slice_rate: Option<f64>,
     /// Sets packed per state word by the policy's kernel (`None` without one).
@@ -99,11 +104,6 @@ impl Row {
     /// The tracked number: monomorphized engine over the seed engine.
     fn speedup(&self) -> f64 {
         self.mono_rate / self.seed_rate
-    }
-
-    /// The sharded batch engine over the mono engine.
-    fn sharded_speedup(&self) -> f64 {
-        self.sharded_rate / self.mono_rate
     }
 
     /// The bit-sliced engine over the mono engine (this PR's number).
@@ -156,7 +156,6 @@ fn target_features() -> Vec<&'static str> {
 fn measure<P, M>(
     name: &'static str,
     stream: &[Access],
-    sharded: &ShardedStream,
     geom: CacheGeometry,
     warmup: usize,
     factory: &PolicyFactory,
@@ -174,14 +173,8 @@ where
     let perf = WindowPerfModel::default();
     let probe = factory(&geom);
     let kernel = probe.slice_kernel();
-    let set_local = probe.shard_affinity() == ShardAffinity::SetLocal;
-    let (mut seed_best, mut dyn_best, mut mono_best, mut sharded_best, mut slice_best) = (
-        f64::INFINITY,
-        f64::INFINITY,
-        f64::INFINITY,
-        f64::INFINITY,
-        f64::INFINITY,
-    );
+    let (mut seed_best, mut dyn_best, mut mono_best, mut slice_best) =
+        (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..ROUNDS {
         let (t, seed_misses) = timed(|| {
             replay_llc_seed(
@@ -213,22 +206,6 @@ where
             )
         });
         mono_best = mono_best.min(t);
-        // Per-policy sharded rate, set-local policies only: they reuse
-        // the roster's routing pre-pass (its one-off cost is charged to
-        // the aggregate batch measurement below, where it is actually
-        // paid once per roster). Global-affinity policies never reach a
-        // sharded engine — the dispatcher sends them down the very
-        // whole-stream path the mono column already times — so their
-        // sharded column reuses the mono timing after the loop.
-        if set_local {
-            let start = Instant::now();
-            let out = replay_many_sharded(stream, sharded, &[std::hint::black_box(factory)], &perf);
-            sharded_best = sharded_best.min(start.elapsed().as_secs_f64());
-            assert_eq!(
-                mono_misses, out[0].stats.misses,
-                "{name}: sharded engine must agree before being compared"
-            );
-        }
         assert_eq!(
             seed_misses, dyn_misses,
             "{name}: engines must agree before being compared"
@@ -249,16 +226,12 @@ where
             );
         }
     }
-    if !set_local {
-        sharded_best = mono_best;
-    }
     let rate = |best: f64| stream.len() as f64 / best.max(1e-12);
     Row {
         name,
         seed_rate: rate(seed_best),
         dyn_rate: rate(dyn_best),
         mono_rate: rate(mono_best),
-        sharded_rate: rate(sharded_best),
         slice_rate: kernel.as_ref().map(|_| rate(slice_best)),
         lanes: kernel.as_ref().map(|k| k.lanes(geom.ways())),
         lanes_reason: kernel.as_ref().map(lanes_reason),
@@ -280,19 +253,10 @@ fn roster() -> Vec<(&'static str, PolicyFactory)> {
     ]
 }
 
-/// `--smoke`: a fast correctness-plus-sanity gate for CI. Replays a tiny
-/// synthetic stream through `replay_many`, a pinned 8-shard batch, the
-/// bit-sliced engine (for every kernel-carrying policy), and the
-/// sequential engine for the whole roster, asserting exact result
-/// equality, then checks the batch engine clears a deliberately generous
-/// throughput floor.
-fn smoke() {
-    let geom = Scale::Micro.hierarchy().llc;
-    let perf = WindowPerfModel::default();
-    // A mixed hot/scan stream over 4x the cache's block capacity.
+/// A mixed hot/scan synthetic stream over 4x the cache's block capacity.
+fn synthetic_stream(geom: &CacheGeometry, len: usize, mut state: u64) -> Vec<Access> {
     let blocks = (geom.sets() * geom.ways() * 4) as u64;
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let stream: Vec<Access> = (0..40_000usize)
+    (0..len)
         .map(|i| {
             state ^= state << 13;
             state ^= state >> 7;
@@ -310,42 +274,94 @@ fn smoke() {
             };
             a.with_icount_delta((state % 9) as u32 + 1)
         })
-        .collect();
+        .collect()
+}
+
+/// `simpoints` equally weighted synthetic streams of `len` accesses as a
+/// harness workload (the benchmark label is a placeholder).
+fn synthetic_workload(geom: &CacheGeometry, simpoints: usize, len: usize) -> WorkloadData {
+    WorkloadData {
+        bench: Spec2006::Libquantum,
+        simpoints: (0..simpoints as u64)
+            .map(|s| SimpointData {
+                weight: 1.0,
+                warmup: mem_model::llc::default_warmup(len),
+                stream: Arc::new(synthetic_stream(geom, len, 0x243F_6A88_85A3_08D3 ^ s)),
+            })
+            .collect(),
+        lru: PolicyMeasurement {
+            mpki: 0.0,
+            cycles: 1.0,
+            misses: 0.0,
+        },
+    }
+}
+
+/// Best-of-`rounds` throughput (policy-accesses per second) of the
+/// roster batch over `workload`: on the whole worker pool, and at one
+/// worker. The two are timed interleaved so host noise lands on both
+/// alike, and must produce identical results.
+fn batch_rates(
+    workload: &WorkloadData,
+    refs: &[&PolicyFactory],
+    geom: CacheGeometry,
+    rounds: usize,
+) -> (f64, f64) {
+    let accesses: usize = workload.simpoints.iter().map(|sp| sp.stream.len()).sum();
+    let work = (accesses * refs.len()) as f64;
+    let (mut all_best, mut one_best) = (f64::INFINITY, f64::INFINITY);
+    let mut reference = None;
+    for _ in 0..rounds {
+        for (best, workers) in [(&mut all_best, usize::MAX), (&mut one_best, 1)] {
+            let start = Instant::now();
+            let out = measure_policies_capped(workload, refs, geom, workers);
+            *best = best.min(start.elapsed().as_secs_f64());
+            match &reference {
+                None => reference = Some(out),
+                Some(r) => assert_eq!(r, &out, "roster batch results depend on the worker count"),
+            }
+        }
+    }
+    (work / all_best.max(1e-12), work / one_best.max(1e-12))
+}
+
+/// `--smoke`: a fast correctness-plus-sanity gate for CI. Replays a tiny
+/// synthetic stream through the engine dispatcher and the sequential
+/// engine for the whole roster, asserting exact result equality and that
+/// every kernel-carrying policy is served by the bit-sliced engine, then
+/// checks a deliberately generous throughput floor and the roster batch's
+/// parallel scaling.
+fn smoke() {
+    let geom = Scale::Micro.hierarchy().llc;
+    let perf = WindowPerfModel::default();
+    let stream = synthetic_stream(&geom, 40_000, 0x9e37_79b9_7f4a_7c15);
     let warmup = mem_model::llc::default_warmup(stream.len());
     let named = roster();
-    let refs: Vec<&PolicyFactory> = named.iter().map(|(_, f)| f).collect();
 
     let start = Instant::now();
-    let batched = replay_many(&stream, geom, &refs, warmup, &perf);
+    let dispatched: Vec<_> = named
+        .iter()
+        .map(|(_, f)| replay_dispatch(&stream, geom, f(&geom), warmup, &perf))
+        .collect();
     let elapsed = start.elapsed().as_secs_f64();
 
-    // A pinned 8-shard routing exercises the shard-and-merge path even on
-    // hosts whose worker budget degenerates the default routing to one
-    // shard (where replay_many falls back to sequential replays).
-    let pinned = ShardedStream::build(&stream, &geom, warmup, 8);
-    let batched_pinned = replay_many_sharded(&stream, &pinned, &refs, &perf);
     let mut sliced_checked = 0;
-    for (((name, factory), got), got_pinned) in named.iter().zip(&batched).zip(&batched_pinned) {
+    for ((name, factory), got) in named.iter().zip(&dispatched) {
         let want = replay_llc(&stream, geom, factory(&geom), warmup, &perf);
         assert_eq!(
-            *got, want,
-            "{name}: sharded batch result diverged from sequential replay"
-        );
-        assert_eq!(
-            *got_pinned, want,
-            "{name}: 8-shard batch result diverged from sequential replay"
+            got.run, want,
+            "{name}: dispatched result diverged from sequential replay"
         );
         // Pinned bit-identity for the sliced engine: every policy that
-        // advertises a kernel must reproduce the sequential result exactly.
-        if let Some(kernel) = factory(&geom).slice_kernel() {
-            let sliced = mem_model::replay_llc_sliced(&stream, geom, &kernel, warmup, &perf)
-                .expect("smoke geometry is a supported associativity");
-            assert_eq!(
-                sliced, want,
-                "{name}: bit-sliced result diverged from sequential replay"
-            );
-            sliced_checked += 1;
-        }
+        // advertises a kernel must be served by it, with no mono fallback.
+        let has_kernel = factory(&geom).slice_kernel().is_some();
+        let expected = if has_kernel {
+            Engine::Sliced
+        } else {
+            Engine::Mono
+        };
+        assert_eq!(got.engine, expected, "{name}: engine dispatch");
+        sliced_checked += usize::from(has_kernel);
     }
     // LRU, PseudoLRU, and WI-GIPPR carry kernels in this roster.
     assert!(
@@ -382,170 +398,111 @@ fn smoke() {
         1,
         "LRU lanes: a 16-entry stack fills the word; 1 lane is the documented truth"
     );
-    let rate = (stream.len() * refs.len()) as f64 / elapsed.max(1e-12);
+    let rate = (stream.len() * named.len()) as f64 / elapsed.max(1e-12);
     // Floor is ~100x below a release-build single-core replay rate: it
     // only trips on catastrophic regressions (accidental debug logic,
-    // quadratic routing), not on runner noise.
+    // quadratic dispatch), not on runner noise.
     assert!(
         rate > 1.0e6,
-        "batched throughput sanity floor: {rate:.0} accesses/sec"
+        "dispatched throughput sanity floor: {rate:.0} accesses/sec"
     );
-    smoke_sharded_speedup(geom, &perf);
+    smoke_batch_scaling();
     println!(
-        "smoke OK: {} policies x {} accesses, batch == sequential, \
-         {sliced_checked} sliced kernels bit-identical, {:.1}M acc/s aggregate",
-        refs.len(),
+        "smoke OK: {} policies x {} accesses, dispatch == sequential, \
+         {sliced_checked} sliced kernels bit-identical, {:.1}M acc/s",
+        named.len(),
         stream.len(),
         rate / 1.0e6
     );
 }
 
-/// On a multi-core host, the sharded batch engine must actually beat the
-/// sequential mono engine for at least one set-local policy — the whole
-/// point of sharding. Single-core hosts (and hosts whose worker budget
-/// degenerates the routing to one shard) skip the assertion: there is no
-/// parallelism to validate there, and CI provides the >1-core runner.
-fn smoke_sharded_speedup(geom: CacheGeometry, perf: &WindowPerfModel) {
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // A longer stream than the correctness smoke: the speedup check needs
-    // the per-shard work to dominate pool dispatch overhead.
-    let blocks = (geom.sets() * geom.ways() * 4) as u64;
-    let mut state = 0x243F_6A88_85A3_08D3u64;
-    let stream: Vec<Access> = (0..800_000usize)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            Access::read((state % blocks) * geom.line_bytes(), state % 512)
-                .with_icount_delta((state % 9) as u32 + 1)
-        })
-        .collect();
-    let warmup = mem_model::llc::default_warmup(stream.len());
-    let sharded =
-        ShardedStream::for_parallelism(&stream, &geom, warmup, sim_core::pool::global().cap());
-    if cores < 2 || sharded.shards() < 2 {
-        println!(
-            "smoke: sharded>mono speedup check skipped ({cores} core(s), {} shard(s))",
-            sharded.shards()
-        );
+/// On a host with two or more cores, the figure harness's roster batch
+/// (`runner::measure_policies`: every (simpoint × policy) pair one pool
+/// unit) must reach [`MIN_BATCH_SCALING`]× the throughput of the same
+/// units at one worker. Single-core hosts skip the assertion: there is no
+/// parallelism to validate there, and CI provides the multi-core runner.
+fn smoke_batch_scaling() {
+    let cap = sim_core::pool::global().cap();
+    if cap < 2 {
+        println!("smoke: batch scaling check skipped ({cap} core(s))");
         return;
     }
-    #[allow(clippy::too_many_arguments)]
-    fn speedup_of<P, M>(
-        name: &str,
-        stream: &[Access],
-        sharded: &ShardedStream,
-        geom: CacheGeometry,
-        warmup: usize,
-        factory: &PolicyFactory,
-        make_mono: M,
-        perf: &WindowPerfModel,
-    ) -> f64
-    where
-        P: ReplacementPolicy,
-        M: Fn(&CacheGeometry) -> P,
-    {
-        assert_eq!(
-            factory(&geom).shard_affinity(),
-            ShardAffinity::SetLocal,
-            "{name}: the speedup check only makes sense for set-local policies"
-        );
-        let (mut mono_best, mut sharded_best) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            let start = Instant::now();
-            let mono = replay_llc_mono(
-                stream,
-                geom,
-                std::hint::black_box(make_mono(&geom)),
-                warmup,
-                perf,
-            );
-            mono_best = mono_best.min(start.elapsed().as_secs_f64());
-            let start = Instant::now();
-            let out = replay_many_sharded(stream, sharded, &[std::hint::black_box(factory)], perf);
-            sharded_best = sharded_best.min(start.elapsed().as_secs_f64());
-            assert_eq!(
-                mono.stats.misses, out[0].stats.misses,
-                "{name}: engines agree"
-            );
-        }
-        mono_best / sharded_best.max(1e-12)
-    }
-
-    let results = [
-        (
-            "PseudoLRU",
-            speedup_of(
-                "PseudoLRU",
-                &stream,
-                &sharded,
-                geom,
-                warmup,
-                &policies::plru(),
-                PlruPolicy::new,
-                perf,
-            ),
-        ),
-        (
-            "WI-GIPPR",
-            speedup_of(
-                "WI-GIPPR",
-                &stream,
-                &sharded,
-                geom,
-                warmup,
-                &policies::gippr(gippr::vectors::wi_gippr(), "WI-GIPPR"),
-                |g| {
-                    GipprPolicy::with_name(g, gippr::vectors::wi_gippr(), "WI-GIPPR")
-                        .expect("assoc matches")
-                },
-                perf,
-            ),
-        ),
-    ];
-    for (name, speedup) in &results {
-        println!(
-            "smoke: {name} sharded/mono speedup {speedup:.2}x ({} shards on {cores} cores)",
-            sharded.shards()
-        );
-    }
-    let best = results
-        .iter()
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("two candidates");
-    assert!(
-        best.1 > 1.0,
-        "on a {cores}-core host the sharded engine must beat the mono engine \
-         for at least one set-local policy; best was {} at {:.2}x",
-        best.0,
-        best.1
+    // 12 policies x 2 simpoints = 24 units at the Quick LLC geometry,
+    // each long enough (tens of milliseconds) that replay dominates pool
+    // dispatch and a timing spans many scheduler quanta; best of
+    // `ROUNDS` interleaved rounds rides out host time-sharing.
+    let geom = Scale::Quick.hierarchy().llc;
+    let workload = synthetic_workload(&geom, 2, 800_000);
+    let named = policies::baseline_roster(0xC0FFEE);
+    let refs: Vec<&PolicyFactory> = named.iter().map(|(_, f)| f).collect();
+    let (all, one) = batch_rates(&workload, &refs, geom, ROUNDS);
+    let scaling = all / one;
+    println!(
+        "smoke: roster batch {:.1}M acc/s on {cap} workers, {:.1}M acc/s on 1 ({scaling:.2}x)",
+        all / 1e6,
+        one / 1e6
     );
+    assert!(
+        scaling >= MIN_BATCH_SCALING,
+        "on a {cap}-core host the roster batch must reach {MIN_BATCH_SCALING}x the \
+         one-worker throughput; got {scaling:.2}x"
+    );
+}
+
+/// What the command line asks for.
+enum Command {
+    /// Full benchmark at a scale, writing the JSON report to a path.
+    Bench { scale: Scale, json_path: String },
+    /// The CI smoke gate.
+    Smoke,
+}
+
+/// Parses the command line (without the program name); `Err` carries the
+/// complaint to print above the usage.
+fn parse_args(args: &[String]) -> Result<Command, String> {
+    let mut scale = Scale::Quick;
+    let mut json_path = "BENCH_replay.json".to_string();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--scale" => {
+                scale = it
+                    .next()
+                    .and_then(|s| Scale::parse(s))
+                    .ok_or("--scale needs micro|quick|medium|paper")?;
+            }
+            "--json" => json_path = it.next().ok_or("--json needs a path")?.clone(),
+            "--smoke" => return Ok(Command::Smoke),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(Command::Bench { scale, json_path })
+}
+
+/// The CPUs this process may run on (Linux `Cpus_allowed_list`), as
+/// provenance beside the core count.
+fn cpus_allowed() -> Option<String> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+        .map(|v| v.trim().to_string())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Quick;
-    let mut json_path = "BENCH_replay.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = Scale::parse(args.get(i).map(String::as_str).unwrap_or(""))
-                    .expect("--scale micro|quick|medium|paper");
+    let (scale, json_path) = match parse_args(&args) {
+        Ok(Command::Smoke) => return smoke(),
+        Ok(Command::Bench { scale, json_path }) => (scale, json_path),
+        Err(complaint) => {
+            if !complaint.is_empty() {
+                eprintln!("bench-replay: {complaint}");
             }
-            "--json" => {
-                i += 1;
-                json_path = args.get(i).cloned().expect("--json PATH");
-            }
-            "--smoke" => {
-                smoke();
-                return;
-            }
-            other => panic!("unknown argument {other}"),
+            eprintln!("{USAGE}");
+            std::process::exit(2);
         }
-        i += 1;
-    }
+    };
 
     // One representative stream: a thrash-heavy benchmark keeps the
     // replacement policy busy (every access updates policy state; misses
@@ -560,33 +517,20 @@ fn main() {
     let geom = scale.hierarchy().llc;
     let warmup = mem_model::llc::default_warmup(stream.len());
     let leaders = policies::leaders_for(&geom);
-    let sharded =
-        ShardedStream::for_parallelism(&stream, &geom, warmup, sim_core::pool::global().cap());
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "replaying {} LLC accesses ({bench}, {scale} scale, {} sets x {} ways, \
-         {} shards on {cores} core(s))",
+        "replaying {} LLC accesses ({bench}, {scale} scale, {} sets x {} ways, {cores} core(s))",
         stream.len(),
         geom.sets(),
         geom.ways(),
-        sharded.shards()
     );
 
     let quad = gippr::vectors::wi_4dgippr().to_vec();
     let rows = vec![
-        measure(
-            "LRU",
-            &stream,
-            &sharded,
-            geom,
-            warmup,
-            &policies::lru(),
-            TrueLru::new,
-        ),
+        measure("LRU", &stream, geom, warmup, &policies::lru(), TrueLru::new),
         measure(
             "PseudoLRU",
             &stream,
-            &sharded,
             geom,
             warmup,
             &policies::plru(),
@@ -595,7 +539,6 @@ fn main() {
         measure(
             "WI-GIPPR",
             &stream,
-            &sharded,
             geom,
             warmup,
             &policies::gippr(gippr::vectors::wi_gippr(), "WI-GIPPR"),
@@ -607,7 +550,6 @@ fn main() {
         measure(
             "WI-4-DGIPPR",
             &stream,
-            &sharded,
             geom,
             warmup,
             &policies::dgippr(quad.clone(), "WI-4-DGIPPR"),
@@ -616,34 +558,20 @@ fn main() {
                     .expect("valid config")
             },
         ),
-        measure(
-            "DRRIP",
-            &stream,
-            &sharded,
-            geom,
-            warmup,
-            &policies::drrip(),
-            |g| DrripPolicy::with_config(g, leaders, 10).expect("geometry fits DRRIP"),
-        ),
+        measure("DRRIP", &stream, geom, warmup, &policies::drrip(), |g| {
+            DrripPolicy::with_config(g, leaders, 10).expect("geometry fits DRRIP")
+        }),
     ];
 
-    // The aggregate batch: the whole roster through one `replay_many` per
-    // round, routing pre-pass inside the timed region — the shape the
-    // figure harness actually runs.
+    // The aggregate batch: the whole roster as one `measure_policies`
+    // batch of (simpoint × policy) units — the shape the figure harness
+    // actually runs — on the whole pool and at one worker.
     let named = roster();
     let refs: Vec<&PolicyFactory> = named.iter().map(|(_, f)| f).collect();
-    let perf = WindowPerfModel::default();
-    let mut batched_best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        let out = replay_many(&stream, geom, &refs, warmup, &perf);
-        batched_best = batched_best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(out);
-    }
-    let batched_rate = (stream.len() * refs.len()) as f64 / batched_best.max(1e-12);
+    let (batched_rate, batched_one_rate) = batch_rates(&workload, &refs, geom, ROUNDS);
+    let batched_scaling = batched_rate / batched_one_rate;
 
     let mono_geomean = geomean(rows.iter().map(Row::speedup));
-    let sharded_geomean = geomean(rows.iter().map(Row::sharded_speedup));
     let slice_geomean = geomean(rows.iter().filter_map(Row::slice_speedup));
     // The aggregate row: geomean accesses/sec per engine column, the
     // one-line per-engine summary a reader (or a regression diff) wants
@@ -652,7 +580,6 @@ fn main() {
     let geomean_seed_rate = geomean(rows.iter().map(|r| r.seed_rate));
     let geomean_dyn_rate = geomean(rows.iter().map(|r| r.dyn_rate));
     let geomean_mono_rate = geomean(rows.iter().map(|r| r.mono_rate));
-    let geomean_sharded_rate = geomean(rows.iter().map(|r| r.sharded_rate));
     let geomean_slice_rate = if rows.iter().any(|r| r.slice_rate.is_some()) {
         Some(geomean(rows.iter().filter_map(|r| r.slice_rate)))
     } else {
@@ -665,27 +592,24 @@ fn main() {
         };
         println!(
             "  {:<12} seed {:>11.0} acc/s   dyn {:>11.0} acc/s   mono {:>11.0} acc/s   \
-             sharded {:>11.0} acc/s   {slice_col}   mono/seed {:.2}x   sharded/mono {:.2}x",
+             {slice_col}   mono/seed {:.2}x",
             r.name,
             r.seed_rate,
             r.dyn_rate,
             r.mono_rate,
-            r.sharded_rate,
             r.speedup(),
-            r.sharded_speedup()
         );
     }
     println!(
         "  geomean rates: seed {geomean_seed_rate:.0}  dyn {geomean_dyn_rate:.0}  \
-         mono {geomean_mono_rate:.0}  sharded {geomean_sharded_rate:.0}  slice {} acc/s",
+         mono {geomean_mono_rate:.0}  slice {} acc/s",
         geomean_slice_rate.map_or("n/a".to_string(), |r| format!("{r:.0}"))
     );
     println!("  geomean speedup (mono over seed engine): {mono_geomean:.2}x");
-    println!("  geomean speedup (sharded over mono engine): {sharded_geomean:.2}x");
     println!("  geomean speedup (sliced over mono engine, qualifying roster): {slice_geomean:.2}x");
     println!(
-        "  aggregate batched roster rate (routing included): {:.0} acc/s",
-        batched_rate
+        "  roster batch: {batched_rate:.0} acc/s on the pool, {batched_one_rate:.0} acc/s \
+         on one worker ({batched_scaling:.2}x)"
     );
 
     let mut json = String::new();
@@ -693,10 +617,12 @@ fn main() {
     json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
     json.push_str(&format!("  \"benchmark\": \"{bench}\",\n"));
     json.push_str(&format!("  \"stream_accesses\": {},\n", stream.len()));
-    json.push_str(&format!("  \"shards\": {},\n", sharded.shards()));
     json.push_str(&format!("  \"cores\": {cores},\n"));
     json.push_str(&format!(
-        "  \"host\": {{\"cores\": {cores}, \"target_arch\": \"{}\", \"target_features\": [{}]}},\n",
+        "  \"host\": {{\"cores\": {cores}, \"pool_cap\": {}, \"cpus_allowed\": {}, \
+         \"target_arch\": \"{}\", \"target_features\": [{}]}},\n",
+        sim_core::pool::global().cap(),
+        cpus_allowed().map_or("null".to_string(), |c| format!("\"{c}\"")),
         std::env::consts::ARCH,
         target_features()
             .iter()
@@ -714,20 +640,17 @@ fn main() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"seed_accesses_per_sec\": {:.0}, \
              \"dyn_accesses_per_sec\": {:.0}, \"mono_accesses_per_sec\": {:.0}, \
-             \"sharded_accesses_per_sec\": {:.0}, \"slice_accesses_per_sec\": {}, \
-             \"lanes\": {}, \"lanes_reason\": {}, \"speedup\": {:.4}, \
-             \"sharded_speedup\": {:.4}, \"slice_speedup\": {}}}{}\n",
+             \"slice_accesses_per_sec\": {}, \"lanes\": {}, \"lanes_reason\": {}, \
+             \"speedup\": {:.4}, \"slice_speedup\": {}}}{}\n",
             r.name,
             r.seed_rate,
             r.dyn_rate,
             r.mono_rate,
-            r.sharded_rate,
             opt_num(r.slice_rate, 0),
             r.lanes.map_or("null".to_string(), |l| l.to_string()),
             r.lanes_reason
                 .map_or("null".to_string(), |s| format!("\"{s}\"")),
             r.speedup(),
-            r.sharded_speedup(),
             opt_num(r.slice_speedup(), 4),
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -737,17 +660,17 @@ fn main() {
         "  \"geomean_rates\": {{\"seed_accesses_per_sec\": {geomean_seed_rate:.0}, \
          \"dyn_accesses_per_sec\": {geomean_dyn_rate:.0}, \
          \"mono_accesses_per_sec\": {geomean_mono_rate:.0}, \
-         \"sharded_accesses_per_sec\": {geomean_sharded_rate:.0}, \
          \"slice_accesses_per_sec\": {}}},\n",
         opt_num(geomean_slice_rate, 0)
     ));
     json.push_str(&format!(
         "  \"batched_accesses_per_sec\": {batched_rate:.0},\n"
     ));
-    json.push_str(&format!("  \"geomean_speedup\": {mono_geomean:.4},\n"));
     json.push_str(&format!(
-        "  \"geomean_sharded_speedup\": {sharded_geomean:.4},\n"
+        "  \"batched_one_worker_accesses_per_sec\": {batched_one_rate:.0},\n"
     ));
+    json.push_str(&format!("  \"batched_scaling\": {batched_scaling:.4},\n"));
+    json.push_str(&format!("  \"geomean_speedup\": {mono_geomean:.4},\n"));
     json.push_str(&format!(
         "  \"geomean_slice_speedup\": {slice_geomean:.4}\n"
     ));

@@ -43,9 +43,8 @@ pub fn run(scale: Scale) -> Table {
         &["configuration", "misses vs LRU"],
     );
     // Collect every sweep configuration first, then measure the whole
-    // roster with one sharded single-pass replay per workload — the
-    // routing pre-pass is shared across all ~15 configurations instead of
-    // being re-derived per (configuration × workload) pair.
+    // roster per workload as one batch of (simpoint × configuration)
+    // replays on the worker pool.
     let mut configs: Vec<(String, PolicyFactory)> = Vec::new();
     let mut push = |name: String, f: PolicyFactory| {
         configs.push((name, f));
@@ -176,10 +175,10 @@ pub fn run(scale: Scale) -> Table {
         }),
     );
 
-    // Batched measurement: one `replay_many` per workload covers every
-    // configuration above; per-configuration geomeans then read column i
-    // of the transposed results. Bit-identical to per-config
-    // `measure_policy` loops, just without N redundant routing passes.
+    // Batched measurement: one `measure_policies` batch per workload
+    // covers every configuration above; per-configuration geomeans then
+    // read column i of the transposed results. Bit-identical to
+    // per-config `measure_policy` loops.
     let refs: Vec<&PolicyFactory> = configs.iter().map(|(_, f)| f).collect();
     let per_workload: Vec<Vec<_>> = workloads
         .iter()

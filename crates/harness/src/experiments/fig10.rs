@@ -25,8 +25,8 @@ pub fn run(scale: Scale, mode: VectorMode) -> Table {
     let mut rows: Vec<(String, [f64; 4])> = workloads
         .iter()
         .map(|w| {
-            // One sharded single-pass replay per simpoint covers the whole
-            // roster; results are bit-identical to per-policy replays.
+            // One (simpoint × policy) pool batch covers the whole roster;
+            // results are bit-identical to per-policy replays.
             let roster = [
                 policies::gippr(vectors.single[&w.bench].clone(), "GIPPR"),
                 policies::dgippr(vectors.pair[&w.bench].clone(), "2-DGIPPR"),

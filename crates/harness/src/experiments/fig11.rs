@@ -26,7 +26,8 @@ pub fn run(scale: Scale, mode: VectorMode) -> Table {
     let mut rows: Vec<(String, [f64; 4])> = workloads
         .iter()
         .map(|w| {
-            // The full per-workload roster shares one routing pre-pass.
+            // The full per-workload roster is one (simpoint × policy) pool
+            // batch.
             let roster = [
                 policies::drrip(),
                 policies::pdp(),

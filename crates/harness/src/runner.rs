@@ -4,7 +4,7 @@
 use crate::scale::Scale;
 use crate::stats::weighted_mean;
 use mem_model::cpi::WindowPerfModel;
-use mem_model::{min_misses, replay_llc};
+use mem_model::{min_misses, replay_dispatch, replay_llc};
 use sim_core::{Access, CacheGeometry, PolicyFactory};
 use std::sync::Arc;
 use traces::spec2006::Spec2006;
@@ -104,48 +104,68 @@ pub fn measure_policy(
     }
 }
 
-/// Measures every policy in `factories` on `workload` with one sharded
-/// single-pass replay per simpoint ([`mem_model::replay_many`]): the
-/// stream is routed by set index once and the whole roster shares that
-/// pre-pass, instead of re-deriving set/tag per policy. When routing
-/// cannot fan out (single-core hosts) the engine skips it entirely and
-/// each policy replays whole — bit-sliced where it provides a
-/// `SliceKernel`, monomorphized otherwise. Results are in factory order
-/// and bit-identical to calling [`measure_policy`] once per factory.
+/// Measures every policy in `factories` on `workload`. Every
+/// (simpoint × policy) pair is one unit of a single worker-pool batch,
+/// replayed whole through [`mem_model::replay_dispatch`] (bit-sliced where
+/// the policy has a kernel for `geom`, monomorphized otherwise). Results
+/// are reduced in factory order and bit-identical to calling
+/// [`measure_policy`] once per factory.
 pub fn measure_policies(
     workload: &WorkloadData,
     factories: &[&PolicyFactory],
     geom: CacheGeometry,
 ) -> Vec<PolicyMeasurement> {
+    measure_policies_capped(workload, factories, geom, usize::MAX)
+}
+
+/// [`measure_policies`] with at most `max_workers` threads executing the
+/// batch (`usize::MAX` for the pool's whole budget). Results do not
+/// depend on `max_workers`; throughput comparisons use it to time the
+/// same units at one worker.
+pub fn measure_policies_capped(
+    workload: &WorkloadData,
+    factories: &[&PolicyFactory],
+    geom: CacheGeometry,
+    max_workers: usize,
+) -> Vec<PolicyMeasurement> {
     let perf = WindowPerfModel::default();
-    let mut mpki = vec![Vec::new(); factories.len()];
-    let mut cycles = vec![Vec::new(); factories.len()];
-    let mut misses = vec![Vec::new(); factories.len()];
-    for sp in &workload.simpoints {
-        let runs = mem_model::replay_many(&sp.stream, geom, factories, sp.warmup, &perf);
-        for (i, run) in runs.iter().enumerate() {
-            mpki[i].push((run.mpki(), sp.weight));
-            cycles[i].push((run.cycles, sp.weight));
-            misses[i].push((run.stats.misses as f64, sp.weight));
-        }
-    }
-    (0..factories.len())
-        .map(|i| PolicyMeasurement {
-            mpki: weighted_mean(&mpki[i], 0.0),
-            cycles: weighted_mean(&cycles[i], 1.0),
-            misses: weighted_mean(&misses[i], 0.0),
+    let sps = &workload.simpoints;
+    let n = factories.len();
+    // Unit `u` replays simpoint `u / n` under policy `u % n`.
+    let runs = sim_core::pool::global().run(sps.len() * n, max_workers, |u| {
+        let sp = &sps[u / n];
+        let f = factories[u % n];
+        replay_dispatch(&sp.stream, geom, f(&geom), sp.warmup, &perf).run
+    });
+    (0..n)
+        .map(|i| {
+            let mut mpki = Vec::new();
+            let mut cycles = Vec::new();
+            let mut misses = Vec::new();
+            for (s, sp) in sps.iter().enumerate() {
+                let run = &runs[s * n + i];
+                mpki.push((run.mpki(), sp.weight));
+                cycles.push((run.cycles, sp.weight));
+                misses.push((run.stats.misses as f64, sp.weight));
+            }
+            PolicyMeasurement {
+                mpki: weighted_mean(&mpki, 0.0),
+                cycles: weighted_mean(&cycles, 1.0),
+                misses: weighted_mean(&misses, 0.0),
+            }
         })
         .collect()
 }
 
 /// Measures Belady MIN (misses only — the paper does not define MIN
-/// speedups under out-of-order execution, and neither do we).
+/// speedups under out-of-order execution, and neither do we). Simpoints
+/// run in parallel on the worker pool.
 pub fn measure_min(workload: &WorkloadData, geom: CacheGeometry) -> PolicyMeasurement {
-    let mut misses = Vec::new();
-    for sp in &workload.simpoints {
-        let stats = min_misses(&sp.stream, geom, sp.warmup);
-        misses.push((stats.misses as f64, sp.weight));
-    }
+    let sps = &workload.simpoints;
+    let misses = sim_core::pool::global().run(sps.len(), usize::MAX, |s| {
+        let stats = min_misses(&sps[s].stream, geom, sps[s].warmup);
+        (stats.misses as f64, sps[s].weight)
+    });
     PolicyMeasurement {
         mpki: 0.0,
         cycles: f64::NAN,
@@ -230,9 +250,22 @@ mod tests {
     #[test]
     fn batched_measure_matches_singles_exactly() {
         let (ws, geom) = quick_pair();
+        // A third workload with two unequally weighted simpoints, so the
+        // batch's (simpoint × policy) unit indexing is exercised.
+        let mut both = ws[0].clone();
+        both.simpoints = vec![
+            SimpointData {
+                weight: 0.3,
+                ..ws[0].simpoints[0].clone()
+            },
+            SimpointData {
+                weight: 0.7,
+                ..ws[1].simpoints[0].clone()
+            },
+        ];
         let roster = [policies::lru(), policies::drrip(), policies::plru()];
         let refs: Vec<&PolicyFactory> = roster.iter().collect();
-        for w in &ws {
+        for w in ws.iter().chain([&both]) {
             let batched = measure_policies(w, &refs, geom);
             for (f, b) in refs.iter().zip(&batched) {
                 let single = measure_policy(w, f, geom);

@@ -16,13 +16,12 @@
 //!   LLC policy experiment then replays cheaply.
 //! * [`llc`] — the fast LLC-only replayer with warm-up/measure split
 //!   (paper: first third warms the cache, the rest is measured).
-//! * [`batch`] — the sharded single-pass multi-policy replayer: one
-//!   routing pre-pass per stream, every (policy × shard) pair on the
-//!   worker pool, results bit-identical to sequential [`replay_llc`].
 //! * [`sliced`] — the bit-sliced kernel engine for self-describing
-//!   set-local policies (packed PLRU trees, SWAR stacks/RRPVs), again
-//!   bit-identical to [`replay_llc`], with mono fallback when a kernel
-//!   declines the geometry.
+//!   set-local policies (packed PLRU trees, SWAR stacks/RRPVs),
+//!   bit-identical to [`replay_llc`].
+//! * [`dispatch`] — the one engine-choice rule every whole-stream replay
+//!   goes through: sliced if the policy has a kernel that accepts the
+//!   geometry, else monomorphized.
 //! * [`cpi`] — the linear CPI model (fitness) and the MLP-aware window
 //!   model (reporting), substituting for CMP$im per DESIGN.md §2.
 //! * [`optimal`] — Belady's MIN on a captured LLC stream (the paper's
@@ -32,8 +31,8 @@
 //!   L1/L2 per core over one shared LLC, multiprogrammed mixes.
 
 pub mod analysis;
-pub mod batch;
 pub mod cpi;
+pub mod dispatch;
 pub mod hierarchy;
 pub mod llc;
 pub mod multicore;
@@ -41,10 +40,8 @@ pub mod optimal;
 pub mod prefetch;
 pub mod sliced;
 
-pub use batch::{
-    replay_llc_sharded, replay_many, replay_many_sharded, replay_many_with_parallelism,
-};
 pub use cpi::{LinearCpiModel, WindowPerfModel};
+pub use dispatch::{replay_dispatch, Dispatched, Engine};
 pub use hierarchy::{capture_llc_stream, Hierarchy, HierarchyConfig, Inclusion, ServiceLevel};
 pub use llc::{default_warmup, replay_llc, replay_llc_mono, LlcRunResult};
 pub use multicore::MulticoreHierarchy;

@@ -10,6 +10,33 @@
 
 use sim_core::{Access, CacheGeometry, CacheStats};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for block numbers: one 64×64→128-bit multiply folded to 64
+/// bits. SipHash's cost dominated the next-use pass, and its resistance
+/// to crafted collisions protects nothing here: the worst a crafted trace
+/// can do is slow its own MIN pass. The fold keeps the bucket index (low
+/// bits) dependent on every key bit, so strided block patterns still
+/// spread.
+#[derive(Default)]
+struct BlockHasher(u64);
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(self.0 ^ key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ ((product >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Simulates Belady's MIN over a captured LLC access stream, counting
 /// misses on the portion after `warmup` accesses.
@@ -37,11 +64,10 @@ use std::collections::HashMap;
 pub fn min_misses(stream: &[Access], geom: CacheGeometry, warmup: usize) -> CacheStats {
     // Pass 1: next-use chains.
     let mut next_use = vec![usize::MAX; stream.len()];
-    let mut last_seen: HashMap<u64, usize> = HashMap::new();
+    let mut last_seen: HashMap<u64, usize, BuildHasherDefault<BlockHasher>> = HashMap::default();
     for (i, a) in stream.iter().enumerate().rev() {
         let block = geom.block_of(a.addr);
-        next_use[i] = last_seen.get(&block).copied().unwrap_or(usize::MAX);
-        last_seen.insert(block, i);
+        next_use[i] = std::mem::replace(last_seen.entry(block).or_insert(usize::MAX), i);
     }
 
     // Pass 2: per-set simulation. Each occupant remembers its next use.

@@ -1,6 +1,5 @@
-//! Bit-sliced LLC replay: the third engine beside the monomorphized
-//! ([`crate::replay_llc_mono`]) and sharded ([`crate::replay_llc_sharded`])
-//! replayers.
+//! Bit-sliced LLC replay: the fast engine beside the monomorphized
+//! ([`crate::replay_llc_mono`]) replayer.
 //!
 //! For policies that describe themselves as a
 //! [`SliceKernel`](sim_core::SliceKernel) (the set-local
@@ -10,8 +9,8 @@
 //! ops while the tag path runs through the same wide scan as
 //! `SetAssocCache`. Final statistics and cycle estimates are bit-identical
 //! to the monomorphized replay (enforced by `sim-verify`); when the kernel
-//! declines the geometry the caller falls back to mono, which is always
-//! exact.
+//! declines the geometry, [`crate::replay_dispatch`] falls back to mono,
+//! which is always exact.
 
 use crate::cpi::{PerfAccumulator, WindowPerfModel};
 use crate::llc::LlcRunResult;

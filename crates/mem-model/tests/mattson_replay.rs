@@ -1,8 +1,8 @@
 //! Differential tests for the single-pass Mattson profiler: one
 //! stack-distance capture must reproduce per-configuration `replay_llc`
 //! results for true LRU at every associativity at once, and its
-//! histogram must be invariant to the order in which set-disjoint shards
-//! are replayed (the property the sharded batch engine relies on).
+//! histogram must be invariant to the order in which set-disjoint parts
+//! of a stream are replayed (stack distances are per-set quantities).
 
 use baselines::TrueLru;
 use mem_model::{replay_llc, WindowPerfModel};
@@ -148,8 +148,8 @@ fn qualification_gate_admits_only_true_lru_and_is_load_bearing() {
     );
 }
 
-/// Routes `stream` the way the sharded engine does: stable partition by
-/// set range (shard = set's top bits), preserving per-set order.
+/// Stable partition of `stream` by set range (shard = set's top bits),
+/// preserving per-set order.
 fn partition_by_set(stream: &[Access], geom: &CacheGeometry, shards: usize) -> Vec<Vec<Access>> {
     let sets_per_shard = geom.sets() / shards;
     let mut parts = vec![Vec::new(); shards];
@@ -167,8 +167,8 @@ proptest! {
     /// set-disjoint shard independently and `absorb`-merging the
     /// profiles — in ANY shard order — equals the whole-stream capture,
     /// and so does replaying an arbitrary interleaving that preserves
-    /// per-set order. This is exactly the reordering the sharded batch
-    /// engine introduces, so the profiler's histogram must not see it.
+    /// per-set order. Such a reordering changes no set's subsequence,
+    /// so the profiler's histogram must not see it.
     #[test]
     fn histogram_is_stable_under_shard_routing(
         accesses in proptest::collection::vec((0u64..4096, 0u64..64, proptest::bool::ANY), 200..600),

@@ -216,10 +216,8 @@ impl<P: ReplacementPolicy> SetAssocCache<P> {
     }
 
     /// [`SetAssocCache::access_fast`] with the set/tag arithmetic already
-    /// done. The sharded replay engine pre-routes each access to its set
-    /// once per *stream* and then drives every policy from the packed
-    /// buckets, so the hot loop must accept pre-split coordinates instead
-    /// of re-deriving them per policy.
+    /// done: the statistics protocol the bit-sliced engine
+    /// (`slice::replay_sliced`) and the `sim-verify` model checker mirror.
     #[inline]
     pub fn access_tagged(&mut self, set: usize, tag: u64, ctx: &AccessContext) -> bool {
         let ways = self.geom.ways();

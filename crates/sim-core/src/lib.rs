@@ -63,7 +63,6 @@ pub mod persist;
 pub mod policy;
 pub mod pool;
 pub mod sample;
-pub mod shard;
 pub mod simd;
 pub mod slice;
 pub mod stats;
@@ -77,7 +76,6 @@ pub use overhead::OverheadReport;
 pub use persist::{atomic_write, atomic_write_with};
 pub use policy::{PolicyFactory, ReplacementPolicy, ShardAffinity};
 pub use sample::SampledStream;
-pub use shard::{ShardRun, ShardedStream};
 pub use slice::{
     kernel_soundness_sweep, replay_sliced, KernelSweepReport, SliceKernel, SlicedTree,
     SlicedTreeLane,

@@ -254,7 +254,7 @@ impl StackDistanceProfile {
 
     /// Folds another profile of the *same configuration* into this one
     /// (histograms and counters sum). Captures over disjoint set ranges
-    /// of one stream — shard routing — merge to exactly the whole-stream
+    /// of one stream merge to exactly the whole-stream
     /// profile, because stack distances depend only on per-set
     /// subsequences.
     ///

@@ -3,9 +3,12 @@
 use crate::access::AccessContext;
 use crate::geometry::CacheGeometry;
 
-/// How a policy's state decomposes across cache sets, which determines
-/// whether the sharded replay engine (`sim_core::shard`) may drive disjoint
-/// set ranges of the same stream concurrently on independent policy clones.
+/// How a policy's state decomposes across cache sets: the set-locality
+/// contract. Only [`ShardAffinity::SetLocal`] policies may advertise a
+/// bit-sliced [`SliceKernel`](crate::slice::SliceKernel), and only for them
+/// is a set-sampled replay ([`crate::SampledStream`]) exact per set; the
+/// `sim-verify` affinity model check proves each claim by replaying
+/// interleaved and per-set-isolated streams side by side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardAffinity {
     /// Every state transition depends only on the set being accessed, so
@@ -15,16 +18,12 @@ pub enum ShardAffinity {
     /// fine; global *mutable* counters are not — with one exception: a
     /// global monotonic clock whose influence reduces to within-set
     /// relative order (e.g. true-LRU timestamps) still qualifies, because
-    /// stable bucketing preserves per-set access order.
-    ///
-    /// Policies claiming `SetLocal` must also not depend on the sub-line
-    /// bits of `AccessContext::addr`: the sharded engine reconstructs the
-    /// address from the block address, zeroing the line offset.
+    /// splitting a stream by set preserves per-set access order.
     SetLocal,
     /// State is shared across sets (PSEL duel counters, global RNG streams,
-    /// reuse-distance samplers keyed on the full access sequence). Sharded
-    /// replay falls back to a sequential whole-stream pass for these, which
-    /// preserves exact semantics at the cost of per-policy parallelism only.
+    /// reuse-distance samplers keyed on the full access sequence). Such a
+    /// policy must not advertise a slice kernel and always replays through
+    /// the monomorphized engine.
     Global,
 }
 
@@ -86,9 +85,8 @@ pub trait ReplacementPolicy: Send {
 
     /// Whether this policy's transitions are per-set independent (see
     /// [`ShardAffinity`]). Defaults to [`ShardAffinity::Global`] — the
-    /// conservative answer: the sharded engine then replays the policy
-    /// sequentially, which is always correct. Policies whose state is
-    /// provably per-set opt in to [`ShardAffinity::SetLocal`].
+    /// conservative answer, which is always correct. Policies whose state
+    /// is provably per-set opt in to [`ShardAffinity::SetLocal`].
     fn shard_affinity(&self) -> ShardAffinity {
         ShardAffinity::Global
     }

@@ -61,9 +61,9 @@ thread_local! {
     /// holds (null when none). A thread that already owns a slot — a worker
     /// inside `worker_loop`, or a caller inside `run` — must not acquire a
     /// second one for nested `run` calls on the same pool, otherwise an
-    /// outer batch fanning out through callees (runner → replay_many →
-    /// fitness_many) would stack one slot per nesting level and
-    /// oversubscribe the machine.
+    /// outer batch fanning out through callees (a batch of workloads whose
+    /// tasks each submit the runner's (simpoint × policy) batch) would
+    /// stack one slot per nesting level and oversubscribe the machine.
     static SLOT_OWNER: Cell<*const ()> = const { Cell::new(std::ptr::null()) };
 }
 
@@ -600,10 +600,10 @@ mod tests {
 
     #[test]
     fn nested_fanout_stays_within_budget() {
-        // Outer tasks fan out again on the same pool (the runner →
-        // replay_many shape). Each thread holds one slot across all
-        // nesting depths, so inner-task concurrency stays within the
-        // budget instead of stacking outer × inner.
+        // Outer tasks fan out again on the same pool (a workload batch
+        // whose tasks submit (simpoint × policy) units). Each thread holds
+        // one slot across all nesting depths, so inner-task concurrency
+        // stays within the budget instead of stacking outer × inner.
         let pool = WorkerPool::with_cap(8, 3);
         let concurrent = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);

@@ -7,9 +7,9 @@
 //! depends only on the accesses routed to set `s`. A [`SampledStream`]
 //! keeps every access whose set index satisfies
 //! `set % every == offset` — a pure function of the stream and the cache
-//! geometry, so the selected subset is identical no matter how many shards
-//! the full stream is routed into, how many worker threads evaluate the
-//! population, or whether the run was resumed from a checkpoint.
+//! geometry, so the selected subset is identical no matter how many worker
+//! threads evaluate the population, or whether the run was resumed from a
+//! checkpoint.
 //!
 //! The sampled warmup is the number of *kept* accesses that fall inside
 //! the full stream's warmup prefix, so the warm/measure boundary cuts the

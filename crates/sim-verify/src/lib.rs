@@ -22,11 +22,13 @@
 //! * [`diff`] — the differential driver: three models per access
 //!   (`access_fast`, `access_block`, reference), compared on hit/miss,
 //!   bypass, victim identity and dirtiness, set contents, and final stats.
+//! * [`refmin`] — naive references for Belady's MIN: the farthest-next-use
+//!   rule with quadratic forward scans, and an exhaustive optimal search.
 //! * [`workloads`] — deterministic synthetic access streams chosen to
 //!   exercise different replacement behaviours (locality, scans, chases).
 //! * [`mck`] — roster-wide bounded model checking: every policy adapted
 //!   onto [`sim_lint::BoundedChecker`]'s [`sim_lint::PolicyState`] via a
-//!   miniature cache model, plus the shard-affinity and Mattson
+//!   miniature cache model, plus the set-affinity and Mattson
 //!   fast-path contract audits. `cargo xtask model-check` sweeps these.
 //!
 //! The `sim-verify` binary runs the whole roster:
@@ -38,6 +40,7 @@
 pub mod diff;
 pub mod mck;
 pub mod refcache;
+pub mod refmin;
 pub mod refmodels;
 pub mod workloads;
 

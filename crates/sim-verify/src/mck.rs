@@ -28,8 +28,8 @@
 //!   multi-set streams while replaying each set's subsequence on an
 //!   isolated twin instance, requiring hit/evict outcomes and per-set
 //!   audit digests to be bit-identical at every reachable state —
-//!   exactly the contract the sharded replay engine (`sim_core::shard`)
-//!   relies on when it splits a trace across workers.
+//!   exactly the contract slice kernels and the set-sampled fitness tier
+//!   rely on when they treat sets as independent.
 //! * [`mattson_qualification_audit`] — the single-pass Mattson profiler
 //!   trusts [`sim_core::mattson::policy_qualifies`] to admit only
 //!   LRU-equivalent policies to its fast path; the audit replays every
@@ -331,7 +331,7 @@ impl PolicyState for PolicyModel {
 /// over all sets plus one isolated twin per set that receives only that
 /// set's subsequence. After every access, the touched set's hit/evict
 /// outcome and audit digest must be bit-identical between the
-/// interleaved run and its twin — the exact property that makes sharded
+/// interleaved run and its twin — the exact property that makes per-set
 /// replay sound for [`ShardAffinity::SetLocal`] policies. Exploring this
 /// composite with the bounded checker proves the property over *every*
 /// reachable interleaving, not just one sampled stream.
