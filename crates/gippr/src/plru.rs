@@ -222,8 +222,9 @@ impl fmt::Debug for PlruTree {
     }
 }
 
-/// Exposes the production tree to the `sim-lint` exhaustive model checker,
-/// so the invariants it proves (victim totality, position↔tree bijection,
+/// Exposes the production tree to the `sim-lint` PLRU battery — the tree
+/// sweep, the cross-check, and `PlruModel` on the bounded checker — so the
+/// invariants it proves (victim totality, position↔tree bijection,
 /// promotion convergence) hold for *this* bit-packed implementation rather
 /// than a model of it.
 impl sim_lint::PlruState for PlruTree {

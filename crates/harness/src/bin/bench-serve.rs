@@ -6,6 +6,9 @@
 //! Usage: `bench-serve [--accesses N] [--tenants T] [--json PATH]`
 //!        `bench-serve --smoke`
 //!
+//! Misuse (`--help`, an unknown flag, a missing or non-positive value)
+//! prints the usage to stderr and exits with status 2.
+//!
 //! `--smoke` is the CI guard: a small stream, a correctness gate (served
 //! stats must be byte-identical to the reference), and a generous
 //! throughput floor so a catastrophic serving-path regression fails fast
@@ -98,39 +101,63 @@ fn drive_tenant(addr: std::net::SocketAddr, name: &str, accesses: &[Access]) -> 
     (canonical_stats(&delta), elapsed)
 }
 
+const USAGE: &str = "usage: bench-serve [--accesses N] [--tenants T] [--json PATH]\n       \
+                     bench-serve --smoke";
+
+/// What the command line asks for.
+struct Opts {
+    smoke: bool,
+    n_accesses: usize,
+    tenants: usize,
+    json_path: String,
+}
+
+/// Parses the command line (without the program name); `Err` carries the
+/// complaint to print above the usage.
+fn parse_args(args: &[String]) -> Result<Opts, String> {
+    let mut opts = Opts {
+        smoke: false,
+        n_accesses: 100_000,
+        tenants: 4,
+        json_path: "BENCH_serve.json".to_string(),
+    };
+    let count = |v: Option<&String>, flag: &str| {
+        v.and_then(|v| v.parse().ok())
+            .filter(|&n: &usize| n > 0)
+            .ok_or(format!("{flag} needs a positive number"))
+    };
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--smoke" => {
+                opts.smoke = true;
+                opts.n_accesses = 20_000;
+                opts.tenants = 2;
+            }
+            "--accesses" => opts.n_accesses = count(it.next(), "--accesses")?,
+            "--tenants" => opts.tenants = count(it.next(), "--tenants")?,
+            "--json" => opts.json_path = it.next().ok_or("--json needs a path")?.clone(),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
+        }
+    }
+    Ok(opts)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut smoke = false;
-    let mut n_accesses = 100_000usize;
-    let mut tenants = 4usize;
-    let mut json_path = "BENCH_serve.json".to_string();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--smoke" => {
-                smoke = true;
-                n_accesses = 20_000;
-                tenants = 2;
-            }
-            "--accesses" => {
-                i += 1;
-                n_accesses = args[i].parse().expect("--accesses N");
-            }
-            "--tenants" => {
-                i += 1;
-                tenants = args[i].parse().expect("--tenants T");
-            }
-            "--json" => {
-                i += 1;
-                json_path = args[i].clone();
-            }
-            other => {
-                eprintln!("bench-serve: unknown flag {other}");
-                std::process::exit(2);
-            }
+    let Opts {
+        smoke,
+        n_accesses,
+        tenants,
+        json_path,
+    } = parse_args(&args).unwrap_or_else(|complaint| {
+        if !complaint.is_empty() {
+            eprintln!("bench-serve: {complaint}");
         }
-        i += 1;
-    }
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    });
 
     let server = Server::bind_tcp("127.0.0.1:0", roster(), ServerConfig::default())
         .expect("bind bench server");

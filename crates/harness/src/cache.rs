@@ -748,6 +748,57 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A fault-plan clause aimed only at writes inside `dir`. The plan is
+    /// process-global, so a bare `@.wlc` target would also match spills
+    /// that concurrent tests write elsewhere: they could consume the fault
+    /// or be hit by it.
+    fn scoped(kind: &str, dir: &Path, options: &str) -> String {
+        format!("{kind}@{}/{options}", dir.display())
+    }
+
+    #[test]
+    fn scoped_plan_spares_a_concurrent_same_suffix_writer() {
+        if !sim_fault::COMPILED_IN {
+            return;
+        }
+        let tmp = std::env::temp_dir();
+        let mine = tmp.join(format!("wlc-scoped-{}", std::process::id()));
+        let theirs = tmp.join(format!("wlc-neighbor-{}", std::process::id()));
+        let installed = std::sync::Barrier::new(2);
+        let written = std::sync::Barrier::new(2);
+        let neighbor = std::thread::scope(|s| {
+            // The non-plan writer commits `.wlc` files while the plan is
+            // installed; it must neither fail nor spend the fault.
+            let writer = s.spawn(|| {
+                installed.wait();
+                let results: Vec<_> = (0..8)
+                    .map(|i| {
+                        let path = theirs.join(format!("n{i}.wlc"));
+                        sim_core::persist::atomic_write(&path, b"neighbor")
+                            .and_then(|()| fs::read(&path))
+                    })
+                    .collect();
+                written.wait();
+                results
+            });
+            sim_fault::with_plan(&scoped("torn", &mine, ""), || {
+                installed.wait();
+                written.wait();
+                let own = sim_core::persist::atomic_write(&mine.join("own.wlc"), b"payload");
+                assert!(
+                    own.is_err_and(|e| e.to_string().contains("torn")),
+                    "the plan holder's n=1 fault must still be unspent"
+                );
+            });
+            writer.join().expect("neighbor thread")
+        });
+        for result in neighbor {
+            assert_eq!(result.expect("unscoped write must not fault"), b"neighbor");
+        }
+        let _ = fs::remove_dir_all(&mine);
+        let _ = fs::remove_dir_all(&theirs);
+    }
+
     /// Directory entries whose name ends with `suffix`.
     fn entries_with_suffix(dir: &Path, suffix: &str) -> Vec<String> {
         match fs::read_dir(dir) {
@@ -766,7 +817,7 @@ mod tests {
         }
         let dir = std::env::temp_dir().join(format!("wlc-enospc-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        sim_fault::with_plan("enospc@.wlc:sticky", || {
+        sim_fault::with_plan(&scoped("enospc", &dir, ":sticky"), || {
             let cache = WorkloadCache::new();
             cache.set_disk_dir(Some(dir.clone()));
             let data = cache.workload(Scale::Micro, bench());
@@ -791,7 +842,7 @@ mod tests {
         }
         let dir = std::env::temp_dir().join(format!("wlc-torn-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        sim_fault::with_plan("torn@.wlc:n=1", || {
+        sim_fault::with_plan(&scoped("torn", &dir, ":n=1"), || {
             let writer = WorkloadCache::new();
             writer.set_disk_dir(Some(dir.clone()));
             let _ = writer.workload(Scale::Micro, bench());
@@ -826,7 +877,7 @@ mod tests {
         // succeed: a damaged spill lands on disk. Either the embedded
         // trace CRC, the metadata CRC, or the header check must reject it
         // deterministically, falling back to a fresh capture.
-        sim_fault::with_plan("corrupt@.wlc:n=1", || {
+        sim_fault::with_plan(&scoped("corrupt", &dir, ":n=1"), || {
             let writer = WorkloadCache::new();
             writer.set_disk_dir(Some(dir.clone()));
             let _ = writer.workload(Scale::Micro, bench());

@@ -323,7 +323,9 @@ mod tests {
 
         let mut new = Table::new("t", &["a"]);
         new.row(vec!["new".into()]);
-        sim_fault::with_plan("torn", || {
+        // Aimed at this test's directory only: concurrent tests' writes
+        // must neither consume the fault nor be hit by it.
+        sim_fault::with_plan(&format!("torn@{}/", dir.display()), || {
             let err = new.write_csv(&path).unwrap_err();
             assert!(err.to_string().contains("torn"), "unexpected error: {err}");
         });

@@ -1,7 +1,23 @@
-//! Command-line misuse of `bench-replay`: the usage goes to stderr and
-//! the process exits with status 2 — never a panic backtrace.
+//! Command-line misuse of `bench-replay` and `bench-serve`: the usage goes
+//! to stderr and the process exits with status 2 — never a panic
+//! backtrace.
 
 use std::process::Command;
+
+fn assert_misuse(bin: &str, name: &str, args: &[&str]) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains(&format!("usage: {name}")),
+        "{args:?}: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+}
 
 #[test]
 fn bench_replay_misuse_prints_usage_and_exits_2() {
@@ -13,14 +29,24 @@ fn bench_replay_misuse_prints_usage_and_exits_2() {
         &["--json"],
     ];
     for args in cases {
-        let out = Command::new(env!("CARGO_BIN_EXE_bench-replay"))
-            .args(args)
-            .output()
-            .expect("spawn bench-replay");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("usage: bench-replay"), "{args:?}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_misuse(env!("CARGO_BIN_EXE_bench-replay"), "bench-replay", args);
+    }
+}
+
+#[test]
+fn bench_serve_misuse_prints_usage_and_exits_2() {
+    let cases: [&[&str]; 9] = [
+        &["--help"],
+        &["--bogus"],
+        &["--accesses"],
+        &["--accesses", "many"],
+        &["--accesses", "0"],
+        &["--tenants"],
+        &["--tenants", "-1"],
+        &["--smoke", "--tenants", "two"],
+        &["--json"],
+    ];
+    for args in cases {
+        assert_misuse(env!("CARGO_BIN_EXE_bench-serve"), "bench-serve", args);
     }
 }

@@ -29,10 +29,12 @@
 //! ```
 //!
 //! The packed state is model-checked twice over. [`SlicedTree`] implements
-//! `sim_lint::PlruState`, so `cargo xtask model-check` sweeps its full
-//! state space at every lane offset, with sibling lanes filled with a
-//! poison pattern whose integrity is asserted on every state read — any
-//! cross-lane contamination is caught immediately. And
+//! `sim_lint::PlruState`, so `cargo xtask model-check` runs the whole PLRU
+//! battery on it (tree sweep, cross-check against the production tree at
+//! lanes 0 and 3, and the reachable search on the bounded checker at lane
+//! 3), with sibling lanes filled with a poison pattern whose integrity is
+//! asserted on every state read — any cross-lane contamination is caught
+//! immediately. And
 //! [`kernel_soundness_sweep`] drives the *actual replay interpreters*
 //! (`PlruLanes`, `StackList`, `RripNibbles`) transition by transition
 //! against independent scalar models for every kernel shape at every lane
@@ -45,6 +47,7 @@ use crate::cache::{LINE_DIRTY, LINE_VALID};
 use crate::geometry::CacheGeometry;
 use crate::simd::scan_masks;
 use crate::stats::CacheStats;
+use sim_lint::{MirrorTree, PlruState};
 
 /// A plain-data description of a qualifying replacement policy, complete
 /// enough for [`replay_sliced`] to reproduce its transitions exactly.
@@ -182,9 +185,10 @@ fn lane_poison(ways: usize, lane: usize) -> u64 {
 /// each state read — the model-checkable face of the bit-sliced tree.
 ///
 /// Semantics (victim walk, position algebra) are exactly those of
-/// `gippr::PlruTree`; the `sim_lint::PlruState` impl lets the exhaustive
-/// model checker sweep the full `2^(k-1)` state space per lane offset,
-/// proving both the tree invariants and lane isolation.
+/// `gippr::PlruTree`; the `sim_lint::PlruState` impl lets the PLRU battery
+/// sweep the full `2^(k-1)` state space and search the reachable
+/// (tree, valid-mask) product at a lane offset, proving both the tree
+/// invariants and lane isolation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlicedTree {
     word: u64,
@@ -281,8 +285,8 @@ impl SlicedTree {
     }
 }
 
-/// [`SlicedTree`] pinned to a compile-time lane, so the `sim_lint` model
-/// checker (whose [`PlruState`](sim_lint::PlruState) constructor carries
+/// [`SlicedTree`] pinned to a compile-time lane, so the `sim_lint` PLRU
+/// battery (whose [`PlruState`] constructor carries
 /// only `(ways, bits)`) can be instantiated per lane offset. For small
 /// associativities with more than `LANE + 1` lanes the requested lane is
 /// taken modulo the lane count, keeping every `(ways, LANE)` combination
@@ -545,68 +549,9 @@ impl ReplState for RripNibbles {
 
 // ---------------------------------------------------------------------------
 // Kernel soundness sweep: the packed interpreters above, checked transition
-// by transition against independent scalar models.
+// by transition against independent scalar models (`sim_lint::MirrorTree`
+// for the PLRU family).
 // ---------------------------------------------------------------------------
-
-/// A deliberately naive PLRU tree (`Vec<bool>` nodes, heap-indexed from 1)
-/// coded without bit packing: the independent scalar reference the kernel
-/// soundness sweep and the in-crate tests compare the packed lanes against.
-#[derive(Clone)]
-struct NaiveTree {
-    node: Vec<bool>, // node[i] for i in 1..ways
-    ways: usize,
-}
-
-impl NaiveTree {
-    fn new(ways: usize, bits: u64) -> Self {
-        NaiveTree {
-            node: (0..=ways)
-                .map(|i| i >= 1 && (bits >> (i - 1)) & 1 == 1)
-                .collect(),
-            ways,
-        }
-    }
-
-    fn victim(&self) -> usize {
-        let mut n = 1;
-        while n < self.ways {
-            n = 2 * n + usize::from(self.node[n]);
-        }
-        n - self.ways
-    }
-
-    fn position(&self, way: usize) -> usize {
-        let mut n = self.ways + way;
-        let mut pos = 0;
-        let mut i = 0;
-        while n > 1 {
-            let toward = if n % 2 == 1 {
-                self.node[n / 2]
-            } else {
-                !self.node[n / 2]
-            };
-            pos |= usize::from(toward) << i;
-            n /= 2;
-            i += 1;
-        }
-        pos
-    }
-
-    fn set_position(&mut self, way: usize, position: usize) {
-        let mut n = self.ways + way;
-        let mut i = 0;
-        while n > 1 {
-            let bit = (position >> i) & 1 == 1;
-            self.node[n / 2] = if n % 2 == 1 { bit } else { !bit };
-            n /= 2;
-            i += 1;
-        }
-    }
-
-    fn bits(&self) -> u64 {
-        (1..self.ways).fold(0, |acc, i| acc | (u64::from(self.node[i]) << (i - 1)))
-    }
-}
 
 /// Outcome of one [`kernel_soundness_sweep`] run over a single kernel at a
 /// single associativity.
@@ -725,7 +670,7 @@ fn sweep_plru(ipv: &[u8], ways: usize, defect: SweepDefect) -> Result<KernelSwee
         };
         for bits in 0..tree_states {
             let start = sibling | (bits << off);
-            let naive = NaiveTree::new(ways, bits);
+            let naive = MirrorTree::from_bits(ways, bits);
 
             st.words[0] = start;
             let got = st.victim(ways, lane);
@@ -1136,7 +1081,6 @@ mod tests {
     use crate::access::{Access, AccessContext};
     use crate::cache::SetAssocCache;
     use crate::policy::{ReplacementPolicy, ShardAffinity};
-    use sim_lint::PlruState;
 
     // -- SWAR helpers against naive models ---------------------------------
 
@@ -1210,7 +1154,7 @@ mod tests {
                 let mut bits = 0u64;
                 while bits < states {
                     let t = SlicedTree::at_lane(ways, bits, lane);
-                    let n = NaiveTree::new(ways, bits);
+                    let n = MirrorTree::from_bits(ways, bits);
                     assert_eq!(t.victim(), n.victim(), "ways={ways} lane={lane}");
                     for w in 0..ways {
                         assert_eq!(t.position(w), n.position(w));
@@ -1266,7 +1210,7 @@ mod tests {
     /// `sim-core` in the workspace graph).
     struct NaiveKernelPolicy {
         kernel: SliceKernel,
-        trees: Vec<NaiveTree>,
+        trees: Vec<MirrorTree>,
         stacks: Vec<Vec<usize>>, // pos[way] per set
         rrpv: Vec<Vec<u8>>,
         ways: usize,
@@ -1277,7 +1221,7 @@ mod tests {
             let (sets, ways) = (geom.sets(), geom.ways());
             NaiveKernelPolicy {
                 kernel,
-                trees: vec![NaiveTree::new(ways, 0); sets],
+                trees: vec![MirrorTree::new(ways); sets],
                 stacks: vec![(0..ways).collect(); sets],
                 rrpv: vec![vec![3u8; ways]; sets],
                 ways,

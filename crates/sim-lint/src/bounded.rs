@@ -1,14 +1,23 @@
 //! Roster-wide bounded model checking over opaque policy state machines.
 //!
-//! [`mck`](crate::mck) proves properties of PLRU trees by *exhausting* their
-//! state space, which works because a `k`-way tree has exactly `2^(k-1)`
-//! states. The rest of the roster is not so obliging: EHC carries a 4096-entry
-//! counter table, ARC keeps ghost lists plus an adaptive partition target, and
-//! AWRP/LRU timestamps grow without bound. For those policies we fall back to
-//! *bounded* model checking: breadth-first exploration of the reachable state
-//! graph under a small input alphabet, with state hashing over a
-//! caller-supplied canonical digest, explicit state/depth/wall-clock budgets,
-//! and minimal counterexample trails when an invariant breaks.
+//! This is the workspace's one model checker: breadth-first exploration of
+//! a reachable state graph under a small input alphabet, with state hashing
+//! over a caller-supplied canonical digest, optional state/depth/wall-clock
+//! budgets, and minimal counterexample trails when an invariant breaks.
+//! [`mck`](crate::mck) runs the PLRU battery on it with no cap — one set's
+//! `(tree, valid-mask)` space is small enough to *exhaust*. The rest of the
+//! roster is not so obliging: EHC carries a 4096-entry counter table, ARC
+//! keeps ghost lists plus an adaptive partition target, and AWRP/LRU
+//! timestamps grow without bound, so those runs are budgeted.
+//!
+//! How the search gets a node's state is the only thing that varies. A
+//! model that implements [`PolicyState::fork`] has each frontier node's
+//! state kept and forked once per input; one that does not is rebuilt by
+//! `reset` plus a replay of the node's trail, so it never needs `Clone`.
+//! The search also records each `(state, input)` successor: on an
+//! exhausted graph the orbit pass walks that table from every state
+//! instead of re-applying inputs, and on a truncated graph it falls back to
+//! replaying orbits from sampled states.
 //!
 //! The checker is deliberately decoupled from the simulator: it sees a model
 //! only through the [`PolicyState`] object interface (reset, enumerable
@@ -26,9 +35,10 @@
 //! that exploration is truncated by the budget rather than by state-space
 //! closure — the [`BoundedReport::complete`] flag records which happened.
 //! A digest that merges *distinguishable* states can hide defects but can
-//! never fabricate one: invariants are always evaluated on a real replayed
-//! instance, so every reported counterexample trail is genuine.
+//! never fabricate one: invariants are always evaluated on a real instance
+//! (forked or replayed), so every reported counterexample trail is genuine.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -66,6 +76,15 @@ pub trait PolicyState {
     /// merged by the search (see the module docs for the soundness
     /// obligation this places on implementations).
     fn digest(&self) -> Vec<u8>;
+
+    /// An independent copy of the current state, if the model can make
+    /// one. With a fork the checker keeps each frontier node's state and
+    /// expands it directly; without one (the default) it rebuilds the
+    /// state by `reset` plus a replay of the node's trail, which is
+    /// quadratic in depth but needs nothing beyond determinism.
+    fn fork(&self) -> Option<Box<dyn PolicyState>> {
+        None
+    }
 }
 
 /// Why a bounded run stopped exploring.
@@ -136,8 +155,8 @@ impl fmt::Display for BoundedTrail {
 const ROOT: usize = usize::MAX;
 
 /// One visited state: its parent in the BFS tree and the input that reached
-/// it. States are reconstructed by replaying the parent chain, so the
-/// checker never needs `Clone` on the model.
+/// it. A model without [`PolicyState::fork`] has its states reconstructed
+/// by replaying the parent chain, so the checker never needs `Clone`.
 struct Node {
     parent: usize,
     input: usize,
@@ -220,52 +239,75 @@ impl BoundedChecker {
         }];
         let mut visited: HashMap<Vec<u8>, usize> = HashMap::new();
         visited.insert(model.digest(), 0);
-        let mut queue: VecDeque<usize> = VecDeque::from([0]);
+        // Each queued node carries its own state when the model forks.
+        let mut queue = VecDeque::from([(0usize, model.fork())]);
+        // `successors[node * n_inputs + input]`: the node that input leads
+        // to. Nodes are expanded in index order, so on an exhausted graph
+        // the table is complete.
+        let mut successors: Vec<usize> = Vec::new();
 
         let mut transitions = 0usize;
         let mut depth_reached = 0usize;
         let mut stop = StopReason::Exhausted;
 
-        'search: while let Some(node) = queue.pop_front() {
+        'search: while let Some((node, snapshot)) = queue.pop_front() {
             let depth = nodes[node].depth;
             depth_reached = depth_reached.max(depth);
             if depth >= self.max_depth {
                 stop = StopReason::DepthBound;
                 continue; // drain remaining frontier without expanding
             }
-            let trail = self.trail_inputs(&nodes, node);
+            let trail = match &snapshot {
+                Some(_) => Vec::new(),
+                None => self.trail_inputs(&nodes, node),
+            };
             for input in 0..n_inputs {
                 if self.over_deadline(start) {
                     stop = StopReason::Deadline;
                     break 'search;
                 }
-                self.replay(model, &trail)?;
-                if let Err(invariant) = model.apply(input) {
+                let mut forked = snapshot.as_ref().and_then(|s| s.fork());
+                let state: &mut dyn PolicyState = match forked.as_deref_mut() {
+                    Some(state) => state,
+                    None => {
+                        self.replay(model, &trail)?;
+                        &mut *model
+                    }
+                };
+                if let Err(invariant) = state.apply(input) {
+                    let trail = self.trail_inputs(&nodes, node);
                     return Err(Box::new(BoundedTrail {
                         invariant,
-                        trail: self.labels(model, &trail, input),
+                        trail: self.labels(state, &trail, input),
                     }));
                 }
                 transitions += 1;
-                let digest = model.digest();
-                if visited.contains_key(&digest) {
-                    continue;
-                }
-                if visited.len() >= self.max_states {
-                    stop = StopReason::StateBudget;
-                    break 'search;
-                }
-                nodes.push(Node {
-                    parent: node,
-                    input,
-                    depth: depth + 1,
-                });
-                visited.insert(digest, nodes.len() - 1);
-                queue.push_back(nodes.len() - 1);
+                let next = match visited.entry(state.digest()) {
+                    Entry::Occupied(seen) => *seen.get(),
+                    Entry::Vacant(slot) => {
+                        if nodes.len() >= self.max_states {
+                            stop = StopReason::StateBudget;
+                            break 'search;
+                        }
+                        nodes.push(Node {
+                            parent: node,
+                            input,
+                            depth: depth + 1,
+                        });
+                        slot.insert(nodes.len() - 1);
+                        queue.push_back((nodes.len() - 1, forked));
+                        nodes.len() - 1
+                    }
+                };
+                successors.push(next);
             }
         }
 
-        let orbits_checked = self.check_orbits(model, &nodes, start, &mut stop)?;
+        let orbits_checked = if stop == StopReason::Exhausted {
+            self.table_orbits(model, &nodes, &successors)?
+        } else {
+            self.check_orbits(model, &nodes, start, &mut stop)?
+        };
 
         Ok(BoundedReport {
             states: visited.len(),
@@ -277,11 +319,81 @@ impl BoundedChecker {
         })
     }
 
-    /// Promotion-orbit convergence: from a sample of reachable states,
-    /// repeatedly applying any single input must revisit a digest within
-    /// `orbit_bound` steps (i.e. every constant-input orbit falls into a
-    /// cycle — "promote the same block forever" settles instead of drifting
-    /// through fresh states).
+    /// Promotion-orbit convergence on an exhausted graph: from *every*
+    /// reachable state, repeatedly applying any single input must revisit
+    /// a state within `orbit_bound` steps. The walk follows the successor
+    /// table the search recorded instead of re-applying inputs (every
+    /// transition's invariants were already checked there). Per input, a
+    /// walk stops early at any state an earlier walk proved convergent, so
+    /// the pass is linear in `(state, input)` pairs.
+    fn table_orbits(
+        &self,
+        model: &dyn PolicyState,
+        nodes: &[Node],
+        successors: &[usize],
+    ) -> Result<usize, Box<BoundedTrail>> {
+        if self.orbit_samples == 0 || self.orbit_bound == 0 {
+            return Ok(0);
+        }
+        let n_inputs = successors.len() / nodes.len();
+        // `walk[node]` is the id of the last walk that visited `node`;
+        // `proven[node]` holds for the current input once converged.
+        let mut walk = vec![usize::MAX; nodes.len()];
+        let mut proven = vec![false; nodes.len()];
+        let mut path = Vec::new();
+        for input in 0..n_inputs {
+            proven.fill(false);
+            for origin in 0..nodes.len() {
+                if proven[origin] {
+                    continue;
+                }
+                let id = input * nodes.len() + origin;
+                path.clear();
+                path.push(origin);
+                walk[origin] = id;
+                let mut at = origin;
+                let converged = (0..self.orbit_bound).any(|_| {
+                    at = successors[at * n_inputs + input];
+                    if proven[at] || walk[at] == id {
+                        return true;
+                    }
+                    walk[at] = id;
+                    path.push(at);
+                    false
+                });
+                if !converged {
+                    return Err(self.orbit_failure(model, nodes, origin, input));
+                }
+                for &p in &path {
+                    proven[p] = true;
+                }
+            }
+        }
+        Ok(nodes.len() * n_inputs)
+    }
+
+    fn orbit_failure(
+        &self,
+        model: &dyn PolicyState,
+        nodes: &[Node],
+        origin: usize,
+        input: usize,
+    ) -> Box<BoundedTrail> {
+        Box::new(BoundedTrail {
+            invariant: format!(
+                "promotion orbit for input `{}` did not revisit a state within {} steps",
+                model.input_label(input),
+                self.orbit_bound
+            ),
+            trail: self.labels(model, &self.trail_inputs(nodes, origin), input),
+        })
+    }
+
+    /// Promotion-orbit convergence on a truncated graph: from a sample of
+    /// reachable states, rebuilt by replay, repeatedly applying any single
+    /// input must revisit a digest within `orbit_bound` steps (i.e. every
+    /// constant-input orbit falls into a cycle — "promote the same block
+    /// forever" settles instead of drifting through fresh states).
     fn check_orbits(
         &self,
         model: &mut dyn PolicyState,
@@ -322,14 +434,7 @@ impl BoundedChecker {
                     seen.push(digest);
                 }
                 if !converged {
-                    return Err(Box::new(BoundedTrail {
-                        invariant: format!(
-                            "promotion orbit for input `{}` did not revisit a state within {} steps",
-                            model.input_label(input),
-                            self.orbit_bound
-                        ),
-                        trail: self.labels(model, &trail, input),
-                    }));
+                    return Err(self.orbit_failure(model, nodes, node, input));
                 }
                 checked += 1;
             }

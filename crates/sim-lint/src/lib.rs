@@ -18,24 +18,25 @@
 //!   ([`IpvClass`]). Used by `gippr` to validate every published paper
 //!   vector at construction and by `evolve` to prune degenerate genomes
 //!   before spending a fitness evaluation on them.
-//! * [`mck`] — the exhaustive model checker: sweeps the complete PLRU
-//!   tree-state space and BFS-explores the reachable (tree × valid-mask)
-//!   product under real policy dynamics, proving victim-selection
-//!   totality, the position↔tree bijection round-trip, valid-mask prefix
-//!   closure, and promotion convergence — emitting a minimal
-//!   counterexample event sequence on failure. Generic over
-//!   [`PlruState`], so the *production* `gippr::PlruTree` is what gets
-//!   checked, not a model of it.
-//! * [`mirror`] — [`MirrorTree`](mirror::MirrorTree), an independently
+//! * [`mck`] — the exhaustive PLRU battery: a plain sweep of the complete
+//!   PLRU tree-state space (victim-selection totality, the position↔tree
+//!   bijection and write round-trips), plus [`PlruModel`], which exposes
+//!   one set's (tree × valid-mask) state to the bounded checker so the
+//!   reachable product is searched to exhaustion — proving valid-mask
+//!   prefix closure and promotion convergence with a minimal
+//!   counterexample trail on failure. Generic over [`PlruState`], so the
+//!   *production* `gippr::PlruTree` is what gets checked, not a model of
+//!   it.
+//! * [`mirror`] — [`MirrorTree`], an independently
 //!   coded naive tree substrate used to self-test the checker and to
 //!   cross-check bit-packed implementations.
-//! * [`bounded`] — the roster-wide *bounded* model checker: breadth-first
-//!   search with state hashing over any [`PolicyState`](bounded::PolicyState)
-//!   — an opaque, resettable state machine with a finite input alphabet and
-//!   self-checked invariants. Used by `sim-verify` to sweep every roster
-//!   policy (EHC, ARC, AWRP, …) whose state space is too large or unbounded
-//!   for exhaustive enumeration, with explicit state/depth/wall-clock
-//!   budgets and minimal counterexample trails.
+//! * [`bounded`] — the one model checker: breadth-first search with state
+//!   hashing over any [`PolicyState`] — an opaque,
+//!   resettable state machine with a finite input alphabet and
+//!   self-checked invariants. It runs the PLRU battery with no cap, and
+//!   `sim-verify` drives every roster policy (EHC, ARC, AWRP, …) through
+//!   it with explicit state/depth/wall-clock budgets; both get minimal
+//!   counterexample trails.
 //!
 //! The `xtask lint` / `xtask model-check` binaries drive all layers as a
 //! CI gate.
@@ -48,6 +49,6 @@ pub mod mirror;
 pub use bounded::{BoundedChecker, BoundedReport, BoundedTrail, PolicyState, StopReason};
 pub use ipv::{analyze, IpvAnalysis, IpvClass, IpvLint, IpvLintError};
 pub use mck::{
-    cross_check, CheckReport, Counterexample, Event, ModelChecker, PlruState, PromotionRule,
+    check_reachable, cross_check, sweep_trees, Counterexample, PlruModel, PlruState, PromotionRule,
 };
 pub use mirror::MirrorTree;

@@ -1,40 +1,44 @@
-//! The exhaustive PLRU model checker.
+//! The exhaustive PLRU battery.
 //!
-//! `sim-verify` (PR 2) spot-checks the simulator's invariants along
+//! `sim-verify` spot-checks the simulator's invariants along
 //! whatever states a replayed trace happens to visit. This module *proves*
 //! them instead, by exhausting the state space of one cache set:
 //!
-//! 1. **Complete tree sweep** — every one of the `2^(k-1)` PLRU bit
-//!    patterns is checked for victim-selection totality (the victim walk
-//!    lands on a real way sitting at position `k - 1`), the position↔tree
-//!    bijection (per-way positions form a permutation of `0..k`), the
-//!    position-write round-trip (`set_position` then `position` agree for
-//!    every `(way, position)` pair), and the `bits`/`from_bits` encoding
-//!    round-trip.
-//! 2. **Reachable-space BFS** — from the reset state (zero tree, empty
-//!    set), every `(tree, valid-mask)` state reachable under the policy's
-//!    real hit/fill dynamics is explored breadth-first, proving
-//!    invalid-line-first filling keeps the valid mask prefix-closed,
-//!    victim totality on every reachable state, and *promotion
-//!    convergence*: repeatedly hitting any fixed way settles into a cycle
-//!    of bounded length (a fixpoint for plain PLRU; the vector's promotion
-//!    orbit for an IPV). Because BFS explores in depth order, the event
-//!    trail attached to a [`Counterexample`] is a minimal-length repro.
+//! 1. **Complete tree sweep** ([`sweep_trees`]) — a plain loop over every
+//!    one of the `2^(k-1)` PLRU bit patterns, checking victim-selection
+//!    totality (the victim walk lands on a real way sitting at position
+//!    `k - 1`), the position↔tree bijection (per-way positions form a
+//!    permutation of `0..k`), the position-write round-trip
+//!    (`set_position` then `position` agree for every `(way, position)`
+//!    pair), and the `bits`/`from_bits` encoding round-trip.
+//! 2. **Reachable-space search** ([`check_reachable`]) — [`PlruModel`]
+//!    exposes one set's `(tree, valid-mask)` state as a
+//!    [`PolicyState`], and the bounded checker explores it from reset with
+//!    no state or depth cap, so the run ends [`Exhausted`]. Every
+//!    transition proves invalid-line-first filling keeps the valid mask
+//!    prefix-closed, victim totality and the bijection on the state it
+//!    lands in, and for plain PLRU the one-step promotion fixpoint. The
+//!    checker's orbit pass then proves *promotion convergence*: repeating
+//!    any single input from any reachable state settles into a cycle of
+//!    bounded length. Counterexample trails are minimal because the search
+//!    is breadth-first.
 //!
 //! The full `(tree × mask)` product space factors cleanly: no invariant
 //! couples the tree bits to the valid mask (positions are defined for
 //! invalid ways too; filling consults only the mask until the set is
-//! full), so sweeping `2^(k-1)` trees plus BFS-ing the reachable product
+//! full), so sweeping `2^(k-1)` trees plus searching the reachable product
 //! covers everything the `2^(k-1) · 2^k` brute product would.
 //!
-//! The checker is generic over [`PlruState`] so the production
+//! Both phases are generic over [`PlruState`] so the production
 //! `gippr::PlruTree` — not a model of it — is the object being checked;
 //! [`MirrorTree`](crate::mirror::MirrorTree) exists to check the checker.
+//!
+//! [`Exhausted`]: crate::StopReason::Exhausted
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
+
+use crate::bounded::{BoundedChecker, BoundedReport, BoundedTrail, PolicyState};
 
 /// One set's worth of PLRU replacement state, as the checker drives it.
 ///
@@ -93,104 +97,128 @@ impl PromotionRule {
     }
 }
 
-/// One event of a counterexample trail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// A miss: fill the first invalid way, or evict the victim.
-    Miss,
-    /// A hit on the given way.
-    Hit(
-        /// The way that hit.
-        usize,
-    ),
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Event::Miss => write!(f, "miss"),
-            Event::Hit(w) => write!(f, "hit(way {w})"),
-        }
-    }
-}
-
-/// A violated invariant with the smallest witness the checker found.
+/// A tree-sweep or cross-check failure, naming the offending tree state.
 #[derive(Debug, Clone)]
 pub struct Counterexample {
     /// Associativity being checked.
     pub ways: usize,
-    /// The promotion rule in force.
-    pub rule: String,
     /// Which invariant broke.
     pub invariant: String,
     /// Tree bits of the offending state.
     pub state_bits: u64,
-    /// Valid mask of the offending state (all-ones for tree-sweep
-    /// findings, which are mask-independent).
-    pub valid_mask: u64,
-    /// Minimal event sequence from reset reaching the state (empty for
-    /// tree-sweep findings, which index the state directly).
-    pub trail: Vec<Event>,
 }
 
 impl fmt::Display for Counterexample {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} violated at {} ways (rule {}): bits {:#b}, mask {:#b}, trail [",
-            self.invariant, self.ways, self.rule, self.state_bits, self.valid_mask
-        )?;
-        for (i, e) in self.trail.iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{e}")?;
-        }
-        write!(f, "]")
+            "{} violated at {} ways: bits {:#b}",
+            self.invariant, self.ways, self.state_bits
+        )
     }
 }
 
-/// Statistics from a successful check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckReport {
-    /// Associativity checked.
-    pub ways: usize,
-    /// Tree states swept exhaustively (`2^(ways-1)`).
-    pub tree_states: u64,
-    /// `(tree, mask)` states reachable from reset.
-    pub reachable_states: u64,
-    /// Transitions taken during the BFS.
-    pub transitions: u64,
-}
-
-/// The exhaustive checker for one `(ways, rule)` configuration.
-#[derive(Debug, Clone)]
-pub struct ModelChecker {
-    ways: usize,
-    rule: PromotionRule,
-}
-
-/// Longest hit orbit tolerated before declaring non-convergence. The
-/// promotion orbit of a `k`-entry vector has preperiod + period ≤ `k`
-/// tree-position steps; double it for slack.
+/// Longest constant-input orbit tolerated before declaring
+/// non-convergence. The hit orbit of a `k`-entry vector has preperiod +
+/// period ≤ `k` tree-position steps, and a miss orbit fills at most `k`
+/// invalid ways before cycling through the victims; double it for slack.
 fn orbit_bound(ways: usize) -> usize {
     2 * ways + 2
 }
 
-impl ModelChecker {
-    /// Creates a checker.
+fn assert_sweepable(ways: usize) {
+    assert!(
+        ways.is_power_of_two() && (2..=16).contains(&ways),
+        "the PLRU battery sweeps ways 2..=16, got {ways}"
+    );
+}
+
+/// Victim totality, victim at position `k - 1`, and the position
+/// bijection for one tree state; `Err` names the broken invariant.
+fn check_tree<S: PlruState>(s: &S) -> Result<(), &'static str> {
+    let k = s.ways();
+    let v = s.victim();
+    if v >= k {
+        return Err("victim totality");
+    }
+    if s.position(v) != k - 1 {
+        return Err("victim at position k-1");
+    }
+    let mut seen = 0u64;
+    for w in 0..k {
+        let p = s.position(w);
+        if p >= k || seen & (1 << p) != 0 {
+            return Err("position bijection");
+        }
+        seen |= 1 << p;
+    }
+    Ok(())
+}
+
+/// The complete tree sweep: every one of the `2^(ways-1)` bit patterns of
+/// substrate `S`, checked for the encoding round-trip, victim totality,
+/// the position bijection, and every `(way, position)` write round-trip.
+/// Returns the number of tree states swept.
+///
+/// # Errors
+///
+/// Returns a [`Counterexample`] naming the first offending tree bits.
+///
+/// # Panics
+///
+/// Panics unless `ways` is a power of two in `2..=16`.
+pub fn sweep_trees<S: PlruState>(ways: usize) -> Result<u64, Box<Counterexample>> {
+    assert_sweepable(ways);
+    let fail = |invariant: String, bits: u64| {
+        Box::new(Counterexample {
+            ways,
+            invariant,
+            state_bits: bits,
+        })
+    };
+    for bits in 0..(1u64 << (ways - 1)) {
+        let s = S::from_bits(ways, bits);
+        if s.bits() != bits {
+            return Err(fail("bits/from_bits round-trip".to_string(), bits));
+        }
+        check_tree(&s).map_err(|inv| fail(inv.to_string(), bits))?;
+        for way in 0..ways {
+            for pos in 0..ways {
+                let mut t = s.clone();
+                t.set_position(way, pos);
+                if t.position(way) != pos {
+                    return Err(fail(
+                        format!("position round-trip (way {way}, pos {pos})"),
+                        bits,
+                    ));
+                }
+            }
+        }
+    }
+    Ok(1u64 << (ways - 1))
+}
+
+/// One cache set under a [`PromotionRule`], as a [`PolicyState`]: the
+/// tree of substrate `S` plus the valid mask. Input 0 is a miss (fill the
+/// lowest invalid way, else evict the victim); input `1 + w` is a hit on
+/// way `w`, a no-op while `w` is invalid. The digest is `(bits, mask)`.
+#[derive(Debug, Clone)]
+pub struct PlruModel<S> {
+    rule: Arc<PromotionRule>,
+    tree: S,
+    mask: u64,
+}
+
+impl<S: PlruState> PlruModel<S> {
+    /// A model at reset: zero tree, empty set.
     ///
     /// # Panics
     ///
-    /// Panics unless `ways` is a power of two in `2..=16` (the exhaustive
-    /// sweep is `2^(ways-1)` states; wider trees need a different
-    /// strategy), or if an [`PromotionRule::Ipv`] rule's length is not
-    /// `ways + 1` or holds an out-of-range entry.
+    /// Panics unless `ways` is a power of two in `2..=16`, or if an
+    /// [`PromotionRule::Ipv`] rule's length is not `ways + 1` or holds an
+    /// out-of-range entry.
     pub fn new(ways: usize, rule: PromotionRule) -> Self {
-        assert!(
-            ways.is_power_of_two() && (2..=16).contains(&ways),
-            "model checker sweeps ways 2..=16, got {ways}"
-        );
+        assert_sweepable(ways);
         if let PromotionRule::Ipv(v) = &rule {
             assert_eq!(v.len(), ways + 1, "IPV length must be ways + 1");
             assert!(
@@ -198,235 +226,110 @@ impl ModelChecker {
                 "IPV entry out of range for {ways} ways"
             );
         }
-        ModelChecker { ways, rule }
+        PlruModel {
+            rule: Arc::new(rule),
+            tree: S::from_bits(ways, 0),
+            mask: 0,
+        }
     }
 
-    /// Associativity this checker covers.
-    pub fn ways(&self) -> usize {
-        self.ways
+    fn fail(&self, invariant: &str) -> String {
+        format!(
+            "{invariant} (rule {}, bits {:#b}, mask {:#b})",
+            self.rule.name(),
+            self.tree.bits(),
+            self.mask
+        )
+    }
+}
+
+impl<S: PlruState + 'static> PolicyState for PlruModel<S> {
+    fn reset(&mut self) {
+        self.tree = S::from_bits(self.tree.ways(), 0);
+        self.mask = 0;
     }
 
-    fn fail(
-        &self,
-        invariant: &str,
-        bits: u64,
-        mask: u64,
-        trail: Vec<Event>,
-    ) -> Box<Counterexample> {
-        Box::new(Counterexample {
-            ways: self.ways,
-            rule: self.rule.name(),
-            invariant: invariant.to_string(),
-            state_bits: bits,
-            valid_mask: mask,
-            trail,
-        })
+    fn num_inputs(&self) -> usize {
+        self.tree.ways() + 1
     }
 
-    /// Runs both phases against substrate `S`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`Counterexample`] found; the BFS phase's trail
-    /// is minimal in event count.
-    pub fn run<S: PlruState>(&self) -> Result<CheckReport, Box<Counterexample>> {
-        let tree_states = self.sweep_trees::<S>()?;
-        let (reachable_states, transitions) = self.bfs_reachable::<S>()?;
-        Ok(CheckReport {
-            ways: self.ways,
-            tree_states,
-            reachable_states,
-            transitions,
-        })
+    fn input_label(&self, input: usize) -> String {
+        match input {
+            0 => "miss".to_string(),
+            hit => format!("hit(way {})", hit - 1),
+        }
     }
 
-    /// Phase 1: every tree bit pattern, no dynamics.
-    fn sweep_trees<S: PlruState>(&self) -> Result<u64, Box<Counterexample>> {
-        let k = self.ways;
-        let full_mask = ones(k);
-        for bits in 0..(1u64 << (k - 1)) {
-            let s = S::from_bits(k, bits);
-            if s.bits() != bits {
-                return Err(self.fail("bits/from_bits round-trip", bits, full_mask, vec![]));
+    fn apply(&mut self, input: usize) -> Result<(), String> {
+        let k = self.tree.ways();
+        if input == 0 {
+            let way = if self.mask != (1 << k) - 1 {
+                // Invalid-line-first: the cache model fills the lowest
+                // invalid way without consulting the tree.
+                let w = (!self.mask).trailing_zeros() as usize;
+                if w >= k || self.mask & (1 << w) != 0 {
+                    return Err(self.fail("invalid-first fill"));
+                }
+                w
+            } else {
+                let w = self.tree.victim();
+                if w >= k {
+                    return Err(self.fail("victim totality on miss"));
+                }
+                w
+            };
+            self.rule.on_fill(&mut self.tree, way);
+            self.mask |= 1 << way;
+            if (self.mask + 1) & self.mask != 0 {
+                return Err(self.fail("valid-mask prefix closure"));
             }
-            self.check_victim_and_bijection(&s, bits, full_mask, &[])?;
-            for way in 0..k {
-                for pos in 0..k {
-                    let mut t = s.clone();
-                    t.set_position(way, pos);
-                    if t.position(way) != pos {
-                        return Err(self.fail(
-                            &format!("position round-trip (way {way}, pos {pos})"),
-                            bits,
-                            full_mask,
-                            vec![],
-                        ));
-                    }
+        } else {
+            let way = input - 1;
+            if self.mask & (1 << way) == 0 {
+                return Ok(());
+            }
+            self.rule.on_hit(&mut self.tree, way);
+            if *self.rule == PromotionRule::Plru {
+                let mut again = self.tree.clone();
+                self.rule.on_hit(&mut again, way);
+                if again.bits() != self.tree.bits() {
+                    return Err(self.fail("plru promotion fixpoint"));
                 }
             }
         }
-        Ok(1u64 << (k - 1))
+        check_tree(&self.tree).map_err(|inv| self.fail(inv))
     }
 
-    fn check_victim_and_bijection<S: PlruState>(
-        &self,
-        s: &S,
-        bits: u64,
-        mask: u64,
-        trail: &[Event],
-    ) -> Result<(), Box<Counterexample>> {
-        let k = self.ways;
-        let v = s.victim();
-        if v >= k {
-            return Err(self.fail("victim totality", bits, mask, trail.to_vec()));
-        }
-        if s.position(v) != k - 1 {
-            return Err(self.fail("victim at position k-1", bits, mask, trail.to_vec()));
-        }
-        let mut seen = 0u64;
-        for w in 0..k {
-            let p = s.position(w);
-            if p >= k || seen & (1 << p) != 0 {
-                return Err(self.fail("position bijection", bits, mask, trail.to_vec()));
-            }
-            seen |= 1 << p;
-        }
-        Ok(())
+    fn digest(&self) -> Vec<u8> {
+        (self.tree.bits() | self.mask << 32).to_le_bytes().to_vec()
     }
 
-    /// Phase 2: BFS over reachable `(tree, mask)` states under real
-    /// dynamics, with predecessor links for minimal trails.
-    fn bfs_reachable<S: PlruState>(&self) -> Result<(u64, u64), Box<Counterexample>> {
-        let k = self.ways;
-        let full = ones(k);
-        let key = |bits: u64, mask: u64| bits | (mask << 20);
-
-        // visited: state key -> (parent key, event that reached it).
-        let mut visited: HashMap<u64, Option<(u64, Event)>> = HashMap::new();
-        visited.insert(key(0, 0), None);
-        let mut frontier: Vec<(u64, u64)> = vec![(0, 0)];
-        let mut transitions = 0u64;
-        // (bits, way) pairs whose hit orbit is already proven to converge.
-        let mut converged: HashSet<(u64, usize)> = HashSet::new();
-
-        let trail_of = |visited: &HashMap<u64, Option<(u64, Event)>>, mut at: u64| {
-            let mut trail = Vec::new();
-            while let Some(Some((parent, event))) = visited.get(&at) {
-                trail.push(*event);
-                at = *parent;
-            }
-            trail.reverse();
-            trail
-        };
-
-        while let Some((bits, mask)) = frontier.pop() {
-            let mut next_frontier = Vec::new();
-            let mut layer = vec![(bits, mask)];
-            // Drain the whole BFS layer-by-layer: `frontier` holds one
-            // layer; pushing discoveries to `next_frontier` keeps depth
-            // order, so the first violation has a minimal trail.
-            layer.append(&mut frontier);
-            for (bits, mask) in layer {
-                let s = S::from_bits(k, bits);
-                let trail = trail_of(&visited, key(bits, mask));
-                self.check_victim_and_bijection(&s, bits, mask, &trail)?;
-                self.check_convergence(&s, bits, mask, &trail, &mut converged)?;
-
-                // Successors: a miss, and a hit on every valid way.
-                let mut successors: Vec<(Event, u64, u64)> = Vec::with_capacity(k + 1);
-                {
-                    let mut t = s.clone();
-                    let fill_way = if mask != full {
-                        // Invalid-line-first: the cache model fills the
-                        // lowest invalid way without consulting the tree.
-                        let w = (!mask).trailing_zeros() as usize;
-                        if w >= k || mask & (1 << w) != 0 {
-                            return Err(self.fail("invalid-first fill", bits, mask, trail));
-                        }
-                        w
-                    } else {
-                        let w = t.victim();
-                        if w >= k {
-                            return Err(self.fail("victim totality on miss", bits, mask, trail));
-                        }
-                        w
-                    };
-                    self.rule.on_fill(&mut t, fill_way);
-                    let new_mask = mask | (1 << fill_way);
-                    if (new_mask + 1) & new_mask != 0 {
-                        return Err(self.fail("valid-mask prefix closure", bits, mask, trail));
-                    }
-                    successors.push((Event::Miss, t.bits(), new_mask));
-                }
-                for w in 0..k {
-                    if mask & (1 << w) == 0 {
-                        continue;
-                    }
-                    let mut t = s.clone();
-                    self.rule.on_hit(&mut t, w);
-                    successors.push((Event::Hit(w), t.bits(), mask));
-                }
-
-                for (event, nbits, nmask) in successors {
-                    transitions += 1;
-                    if let Entry::Vacant(slot) = visited.entry(key(nbits, nmask)) {
-                        slot.insert(Some((key(bits, mask), event)));
-                        next_frontier.push((nbits, nmask));
-                    }
-                }
-            }
-            frontier = next_frontier;
-        }
-        Ok((visited.len() as u64, transitions))
+    fn fork(&self) -> Option<Box<dyn PolicyState>> {
+        Some(Box::new(self.clone()))
     }
+}
 
-    /// Proves that repeatedly hitting any single valid way settles into a
-    /// bounded cycle (and, for plain PLRU, a one-step fixpoint).
-    /// Memoized on `(bits, way)`: every state along a proven orbit is
-    /// itself proven, so total work is linear in distinct pairs.
-    fn check_convergence<S: PlruState>(
-        &self,
-        s: &S,
-        bits: u64,
-        mask: u64,
-        trail: &[Event],
-        converged: &mut HashSet<(u64, usize)>,
-    ) -> Result<(), Box<Counterexample>> {
-        let k = self.ways;
-        let bound = orbit_bound(k);
-        for way in 0..k {
-            if mask & (1 << way) == 0 || converged.contains(&(bits, way)) {
-                continue;
-            }
-            let mut t = s.clone();
-            let mut path = vec![bits];
-            let mut settled = false;
-            for step in 0..bound {
-                self.rule.on_hit(&mut t, way);
-                let b = t.bits();
-                if matches!(self.rule, PromotionRule::Plru) && step == 1 && b != path[1] {
-                    return Err(self.fail("plru promotion fixpoint", bits, mask, trail.to_vec()));
-                }
-                if converged.contains(&(b, way)) || path.contains(&b) {
-                    settled = true;
-                    break;
-                }
-                path.push(b);
-            }
-            if !settled {
-                return Err(self.fail(
-                    &format!("promotion convergence (way {way})"),
-                    bits,
-                    mask,
-                    trail.to_vec(),
-                ));
-            }
-            for b in path {
-                converged.insert((b, way));
-            }
-        }
-        Ok(())
-    }
+/// Explores every `(tree, mask)` state of substrate `S` reachable from
+/// reset under `rule`, with no state or depth cap, and checks promotion
+/// convergence on every reachable `(state, input)` pair. The report's
+/// `states` is the reachable-state count.
+///
+/// # Errors
+///
+/// Returns the minimal input trail reaching the first violation.
+///
+/// # Panics
+///
+/// As [`PlruModel::new`].
+pub fn check_reachable<S: PlruState + 'static>(
+    ways: usize,
+    rule: PromotionRule,
+) -> Result<BoundedReport, Box<BoundedTrail>> {
+    BoundedChecker::new()
+        .with_max_states(usize::MAX)
+        .with_max_depth(usize::MAX)
+        .with_orbits(orbit_bound(ways), usize::MAX)
+        .run(&mut PlruModel::<S>::new(ways, rule))
 }
 
 /// Sweeps two substrates over the complete tree space and every
@@ -437,20 +340,17 @@ impl ModelChecker {
 /// # Errors
 ///
 /// Returns a [`Counterexample`] naming the disagreeing operation.
+///
+/// # Panics
+///
+/// Panics unless `ways` is a power of two in `2..=16`.
 pub fn cross_check<A: PlruState, B: PlruState>(ways: usize) -> Result<u64, Box<Counterexample>> {
-    assert!(
-        ways.is_power_of_two() && (2..=16).contains(&ways),
-        "cross-check sweeps ways 2..=16, got {ways}"
-    );
-    let full = ones(ways);
-    let fail = |invariant: String, bits: u64| {
+    assert_sweepable(ways);
+    let fail = |what: String, bits: u64| {
         Box::new(Counterexample {
             ways,
-            rule: "cross-check".to_string(),
-            invariant,
+            invariant: format!("cross-check {what}"),
             state_bits: bits,
-            valid_mask: full,
-            trail: vec![],
         })
     };
     for bits in 0..(1u64 << (ways - 1)) {
@@ -480,200 +380,179 @@ pub fn cross_check<A: PlruState, B: PlruState>(ways: usize) -> Result<u64, Box<C
     Ok(1u64 << (ways - 1))
 }
 
-fn ones(k: usize) -> u64 {
-    (1u64 << k) - 1
+/// Seeded-defect substrates: each breaks one tree algorithm, and the
+/// battery must catch it. Shared by the unit tests here, the `gippr`
+/// integration tests, and the `xtask model-check` self-tests.
+#[doc(hidden)]
+pub mod seeded {
+    use super::{check_reachable, cross_check, sweep_trees, PlruState, PromotionRule};
+    use crate::mirror::MirrorTree;
+    use std::fmt::Debug;
+
+    /// A [`MirrorTree`] carrying the seeded defect `D`.
+    #[derive(Clone)]
+    pub struct Seeded<const D: u8>(MirrorTree);
+
+    /// The victim walk always answers way 0, regardless of the tree.
+    pub type BrokenVictim = Seeded<0>;
+    /// The position write drops the low position bit: the compact-encoding
+    /// bug trace tests rarely trip.
+    pub type BrokenWrite = Seeded<1>;
+    /// Correct except in tree state [`POISONED_BITS`], whose victim walk
+    /// leaves the set: the sweep must reach that one state and name it.
+    pub type PoisonedState = Seeded<2>;
+    /// The tree bits [`PoisonedState`] misbehaves in.
+    pub const POISONED_BITS: u64 = 0b011;
+
+    impl<const D: u8> PlruState for Seeded<D> {
+        fn from_bits(ways: usize, bits: u64) -> Self {
+            Seeded(MirrorTree::from_bits(ways, bits))
+        }
+        fn bits(&self) -> u64 {
+            self.0.bits()
+        }
+        fn ways(&self) -> usize {
+            self.0.ways()
+        }
+        fn victim(&self) -> usize {
+            match D {
+                0 => 0,
+                2 if self.0.bits() == POISONED_BITS => self.0.ways(),
+                _ => self.0.victim(),
+            }
+        }
+        fn position(&self, way: usize) -> usize {
+            self.0.position(way)
+        }
+        fn set_position(&mut self, way: usize, position: usize) {
+            let position = if D == 1 { position & !1 } else { position };
+            self.0.set_position(way, position);
+        }
+    }
+
+    /// Runs every seeded defect through the battery, with `S` as the sound
+    /// substrate the cross-check compares against, and reports per defect
+    /// `Ok` if it was caught or `Err` with what the battery said instead.
+    pub fn catches<S: PlruState>() -> Vec<(&'static str, Result<(), String>)> {
+        fn caught<T: Debug, E: Debug>(r: Result<T, E>, hit: fn(&E) -> bool) -> Result<(), String> {
+            match r {
+                Err(e) if hit(&e) => Ok(()),
+                other => Err(format!("{other:?}")),
+            }
+        }
+        vec![
+            (
+                "plru battery: constant victim walk",
+                caught(sweep_trees::<BrokenVictim>(4), |c| {
+                    c.invariant.contains("victim")
+                })
+                .and(caught(
+                    check_reachable::<BrokenVictim>(4, PromotionRule::Plru),
+                    |t| t.invariant.contains("victim"),
+                )),
+            ),
+            (
+                "plru battery: lossy position write",
+                caught(sweep_trees::<BrokenWrite>(8), |c| {
+                    c.invariant.contains("round-trip")
+                }),
+            ),
+            (
+                "plru battery: poisoned tree state 0b011",
+                caught(sweep_trees::<PoisonedState>(4), |c| {
+                    c.state_bits == POISONED_BITS
+                }),
+            ),
+            (
+                "plru cross-check: substrate disagreement",
+                caught(cross_check::<S, BrokenWrite>(4), |c| {
+                    c.invariant.contains("set_position")
+                }),
+            ),
+        ]
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::seeded::{BrokenVictim, BrokenWrite, PoisonedState};
     use super::*;
     use crate::mirror::MirrorTree;
+    use crate::StopReason;
 
-    #[test]
-    fn plru_clean_up_to_8_ways() {
-        for ways in [2usize, 4, 8] {
-            let report = ModelChecker::new(ways, PromotionRule::Plru)
-                .run::<MirrorTree>()
-                .unwrap_or_else(|c| panic!("{c}"));
-            assert_eq!(report.tree_states, 1 << (ways - 1));
-            assert!(report.reachable_states > 0);
-            assert!(report.transitions >= report.reachable_states - 1);
-        }
+    fn clean(ways: usize, rule: PromotionRule) -> BoundedReport {
+        let report = check_reachable::<MirrorTree>(ways, rule).unwrap_or_else(|t| panic!("{t}"));
+        assert_eq!(report.stop, StopReason::Exhausted);
+        report
     }
 
     #[test]
-    fn lip_vector_clean_on_mirror() {
+    fn plru_and_lip_clean_up_to_8_ways() {
         for ways in [2usize, 4, 8] {
-            let mut v = vec![0u8; ways + 1];
-            v[ways] = (ways - 1) as u8;
-            ModelChecker::new(ways, PromotionRule::Ipv(v))
-                .run::<MirrorTree>()
-                .unwrap_or_else(|c| panic!("{c}"));
+            assert_eq!(sweep_trees::<MirrorTree>(ways).unwrap(), 1 << (ways - 1));
+            let report = clean(ways, PromotionRule::Plru);
+            assert_eq!(report.transitions, report.states * (ways + 1));
+            assert_eq!(report.orbits_checked, report.states * (ways + 1));
+            let mut lip = vec![0u8; ways + 1];
+            lip[ways] = (ways - 1) as u8;
+            clean(ways, PromotionRule::Ipv(lip));
         }
+        // 8 tree states x 5 prefix masks bounds the 4-way product; the
+        // masks alone give 5 states.
+        assert!((5..=40).contains(&clean(4, PromotionRule::Plru).states));
     }
 
     #[test]
     fn oscillating_vector_still_converges_to_a_cycle() {
         // V[0] = 2, V[2] = 0 oscillates — a cycle, not a fixpoint, which
         // the convergence invariant (bounded cycle) accepts for IPVs.
-        let v = vec![2u8, 1, 0, 3, 0];
-        ModelChecker::new(4, PromotionRule::Ipv(v))
-            .run::<MirrorTree>()
-            .unwrap_or_else(|c| panic!("{c}"));
-    }
-
-    /// A substrate with a broken victim walk, to prove the checker sees it.
-    #[derive(Clone)]
-    struct BrokenVictim(MirrorTree);
-
-    impl PlruState for BrokenVictim {
-        fn from_bits(ways: usize, bits: u64) -> Self {
-            BrokenVictim(MirrorTree::from_bits(ways, bits))
-        }
-        fn bits(&self) -> u64 {
-            self.0.bits()
-        }
-        fn ways(&self) -> usize {
-            self.0.ways()
-        }
-        fn victim(&self) -> usize {
-            // Always way 0, regardless of the tree: wrong whenever the
-            // tree points elsewhere.
-            0
-        }
-        fn position(&self, way: usize) -> usize {
-            self.0.position(way)
-        }
-        fn set_position(&mut self, way: usize, position: usize) {
-            self.0.set_position(way, position);
-        }
+        clean(4, PromotionRule::Ipv(vec![2, 1, 0, 3, 0]));
     }
 
     #[test]
-    fn broken_victim_is_caught_with_counterexample() {
-        let err = ModelChecker::new(4, PromotionRule::Plru)
-            .run::<BrokenVictim>()
-            .expect_err("broken substrate must fail");
-        assert!(err.invariant.contains("victim"), "{err}");
-        assert!(!err.to_string().is_empty());
-    }
-
-    /// A substrate whose position write is off by one in the write path.
-    #[derive(Clone)]
-    struct BrokenWrite(MirrorTree);
-
-    impl PlruState for BrokenWrite {
-        fn from_bits(ways: usize, bits: u64) -> Self {
-            BrokenWrite(MirrorTree::from_bits(ways, bits))
+    fn seeded_defects_are_caught() {
+        for (label, caught) in super::seeded::catches::<MirrorTree>() {
+            caught.unwrap_or_else(|detail| panic!("{label} not caught: {detail}"));
         }
-        fn bits(&self) -> u64 {
-            self.0.bits()
-        }
-        fn ways(&self) -> usize {
-            self.0.ways()
-        }
-        fn victim(&self) -> usize {
-            self.0.victim()
-        }
-        fn position(&self, way: usize) -> usize {
-            self.0.position(way)
-        }
-        fn set_position(&mut self, way: usize, position: usize) {
-            // Drops the low position bit: Multi-step-LRU-style compact
-            // encoding bug that trace tests rarely trip.
-            self.0.set_position(way, position & !1);
-        }
+        // The search trail is minimal, and sweep failures name the bits.
+        let trail = check_reachable::<BrokenVictim>(4, PromotionRule::Plru).unwrap_err();
+        assert_eq!(trail.trail, ["miss"], "one fill exposes it");
+        let err = sweep_trees::<PoisonedState>(4).unwrap_err();
+        assert!(err.to_string().contains("victim totality"), "{err}");
+        assert!(err.to_string().contains("bits 0b11"), "{err}");
     }
 
     #[test]
-    fn broken_write_is_caught_in_tree_sweep() {
-        let err = ModelChecker::new(8, PromotionRule::Plru)
-            .run::<BrokenWrite>()
-            .expect_err("broken write must fail");
-        assert!(err.invariant.contains("round-trip"), "{err}");
-    }
-
-    #[test]
-    fn seeded_poison_state_is_caught() {
-        /// Misbehaves only in one specific tree state, which the
-        /// exhaustive sweep must reach and report by its bits.
-        #[derive(Clone)]
-        struct TrickyTree {
-            inner: MirrorTree,
-            poisoned: bool,
-        }
-        impl PlruState for TrickyTree {
-            fn from_bits(ways: usize, bits: u64) -> Self {
-                TrickyTree {
-                    inner: MirrorTree::from_bits(ways, bits),
-                    // Encode the poison in a real tree bit so BFS keying
-                    // (which only sees `bits`) is faithful: bit pattern
-                    // 0b11 marks the poisoned state for 4 ways.
-                    poisoned: bits == 0b011,
-                }
-            }
-            fn bits(&self) -> u64 {
-                self.inner.bits()
-            }
-            fn ways(&self) -> usize {
-                self.inner.ways()
-            }
-            fn victim(&self) -> usize {
-                if self.poisoned {
-                    self.inner.ways() // out of range
-                } else {
-                    self.inner.victim()
-                }
-            }
-            fn position(&self, way: usize) -> usize {
-                self.inner.position(way)
-            }
-            fn set_position(&mut self, way: usize, position: usize) {
-                self.inner.set_position(way, position);
-            }
-        }
-
-        // Tree sweep hits the poisoned bits directly (empty trail); make
-        // sure the counterexample is reported at all.
-        let err = ModelChecker::new(4, PromotionRule::Plru)
-            .run::<TrickyTree>()
-            .expect_err("poisoned tree must fail");
-        assert_eq!(err.state_bits, 0b011);
-        assert!(err.invariant.contains("victim"));
-    }
-
-    #[test]
-    fn mirror_cross_checks_against_itself() {
+    fn cross_check_agrees_with_itself_and_catches_disagreement() {
         for ways in [2usize, 4, 8] {
             let states = cross_check::<MirrorTree, MirrorTree>(ways).unwrap();
             assert_eq!(states, 1 << (ways - 1));
         }
-    }
-
-    #[test]
-    fn cross_check_catches_disagreement() {
         let err = cross_check::<MirrorTree, BrokenWrite>(4).expect_err("must disagree");
         assert!(err.invariant.contains("set_position"), "{err}");
+        assert!(err.to_string().contains("bits 0b"), "{err}");
     }
 
     #[test]
     fn rejects_bad_configs() {
-        let caught = std::panic::catch_unwind(|| ModelChecker::new(32, PromotionRule::Plru));
-        assert!(caught.is_err(), "ways 32 exceeds the sweepable range");
         let caught =
-            std::panic::catch_unwind(|| ModelChecker::new(4, PromotionRule::Ipv(vec![0; 3])));
+            std::panic::catch_unwind(|| PlruModel::<MirrorTree>::new(32, PromotionRule::Plru));
+        assert!(caught.is_err(), "ways 32 exceeds the sweepable range");
+        let caught = std::panic::catch_unwind(|| {
+            PlruModel::<MirrorTree>::new(4, PromotionRule::Ipv(vec![0; 3]))
+        });
         assert!(caught.is_err(), "short vector must be rejected");
+        let caught = std::panic::catch_unwind(|| sweep_trees::<MirrorTree>(32));
+        assert!(caught.is_err(), "the sweep shares the range check");
     }
 
     #[test]
-    fn report_fields_are_plausible() {
-        let r = ModelChecker::new(4, PromotionRule::Plru)
-            .run::<MirrorTree>()
-            .unwrap();
-        assert_eq!(r.ways, 4);
-        assert_eq!(r.tree_states, 8);
-        // 8 tree states x 5 prefix masks bounds the reachable product.
-        assert!(r.reachable_states <= 8 * 5);
-        assert!(r.reachable_states >= 5, "masks alone give 5 states");
+    fn hit_on_an_invalid_way_is_a_no_op() {
+        let mut m = PlruModel::<MirrorTree>::new(4, PromotionRule::Plru);
+        let reset = m.digest();
+        m.apply(3).unwrap();
+        assert_eq!(m.digest(), reset);
+        m.apply(0).unwrap();
+        assert_ne!(m.digest(), reset, "a miss fills way 0");
     }
 }

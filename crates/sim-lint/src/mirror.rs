@@ -1,13 +1,14 @@
 //! A deliberately naive tree-PseudoLRU substrate.
 //!
-//! [`MirrorTree`] reimplements the paper's four tree algorithms (victim
-//! walk, promote, position read, position write) over a `Vec<bool>` of
-//! node bits — no packing, no bit tricks — as an independent second
-//! implementation. The model checker's self-tests run against it, and
+//! [`MirrorTree`] reimplements the paper's tree algorithms (victim walk,
+//! position read, position write) over a `Vec<bool>` of node bits — no
+//! packing, no bit tricks — and derives positions by walking root → leaf,
+//! where the packed trees walk leaf → root. It is the one naive reference
+//! tree of the workspace: the checker's self-tests run against it,
 //! [`mck::cross_check`](crate::mck::cross_check) sweeps it against the
-//! production bit-packed tree over the *complete* state space, turning
-//! the differential-testing idea of `sim-verify` into a proof for the
-//! tree algebra.
+//! production bit-packed tree over the *complete* state space, the
+//! slice-kernel soundness sweep compares packed lanes with it, and
+//! `sim-verify`'s differential reference policies are built on it.
 
 use crate::mck::PlruState;
 
@@ -73,26 +74,20 @@ impl PlruState for MirrorTree {
         node - self.ways
     }
 
+    /// At depth `d` (root = 0) the path to `way` branches on bit
+    /// `levels - 1 - d` of `way`; the node contributes that same bit of the
+    /// position when it points *toward* the block.
     fn position(&self, way: usize) -> usize {
         assert!(way < self.ways, "way {way} out of range");
-        let mut node = self.ways + way;
-        let mut pos = 0usize;
-        let mut level = 0u32;
-        while node > 1 {
-            let parent = node / 2;
-            let is_right = node % 2 == 1;
-            // The parent's bit contributes 1 to this level iff it points
-            // toward the block.
-            let toward = if is_right {
-                self.nodes[parent]
-            } else {
-                !self.nodes[parent]
-            };
-            if toward {
-                pos |= 1 << level;
+        let levels = self.ways.trailing_zeros() as usize;
+        let mut node = 1;
+        let mut pos = 0;
+        for bit in (0..levels).rev() {
+            let branch = way >> bit & 1;
+            if usize::from(self.nodes[node]) == branch {
+                pos |= 1 << bit;
             }
-            node = parent;
-            level += 1;
+            node = 2 * node + branch;
         }
         pos
     }
@@ -100,15 +95,15 @@ impl PlruState for MirrorTree {
     fn set_position(&mut self, way: usize, position: usize) {
         assert!(way < self.ways, "way {way} out of range");
         assert!(position < self.ways, "position {position} out of range");
-        let mut node = self.ways + way;
-        let mut level = 0u32;
-        while node > 1 {
-            let parent = node / 2;
-            let is_right = node % 2 == 1;
-            let toward = position >> level & 1 == 1;
-            self.nodes[parent] = if is_right { toward } else { !toward };
-            node = parent;
-            level += 1;
+        let levels = self.ways.trailing_zeros() as usize;
+        let mut node = 1;
+        for bit in (0..levels).rev() {
+            let branch = way >> bit & 1;
+            // Point toward the block iff the position bit says so: a right
+            // branch is "toward" when the node bit is 1, a left branch when
+            // it is 0.
+            self.nodes[node] = (branch == 1) == (position >> bit & 1 == 1);
+            node = 2 * node + branch;
         }
     }
 }
@@ -125,31 +120,18 @@ mod tests {
     }
 
     #[test]
-    fn set_position_round_trips() {
-        let mut t = MirrorTree::new(16);
-        for way in 0..16 {
-            for pos in 0..16 {
-                t.set_position(way, pos);
-                assert_eq!(t.position(way), pos);
+    fn set_position_round_trips_at_every_width() {
+        // `mck::sweep_trees` proves round-trips and the position bijection
+        // for every tree state; this also reaches the 32- and 64-way trees
+        // the differential reference policies run.
+        for ways in [2usize, 4, 8, 16, 32, 64] {
+            let mut t = MirrorTree::new(ways);
+            for way in 0..ways {
+                for pos in 0..ways {
+                    t.set_position(way, pos);
+                    assert_eq!(t.position(way), pos, "{ways}-way, way {way}, pos {pos}");
+                }
             }
-        }
-    }
-
-    #[test]
-    fn bits_round_trip() {
-        for bits in 0..128u64 {
-            let t = MirrorTree::from_bits(8, bits);
-            assert_eq!(t.bits(), bits);
-        }
-    }
-
-    #[test]
-    fn positions_always_a_permutation() {
-        for bits in 0..128u64 {
-            let t = MirrorTree::from_bits(8, bits);
-            let mut ps: Vec<usize> = (0..8).map(|w| t.position(w)).collect();
-            ps.sort_unstable();
-            assert_eq!(ps, (0..8).collect::<Vec<_>>(), "bits {bits:#b}");
         }
     }
 

@@ -15,7 +15,6 @@
 //!   store with no packing, mirroring the [`sim_core::SetAssocCache`]
 //!   callback protocol line by line.
 //! * [`refmodels`] — naive counterparts of the replacement state machines:
-//!   [`RefPlru`](refmodels::RefPlru), a `Vec<bool>` PLRU tree;
 //!   [`RefRecencyStack`](refmodels::RefRecencyStack), an MRU-ordered list;
 //!   plus reference policies for LRU, FIFO, SRRIP, PDP, PLRU, GIPPR, and
 //!   GIPLR.
@@ -50,4 +49,4 @@ pub use mck::{
     StepOutcome,
 };
 pub use refcache::{RefCache, RefOutcome};
-pub use refmodels::{RefPlru, RefRecencyStack};
+pub use refmodels::RefRecencyStack;

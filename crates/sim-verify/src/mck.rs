@@ -1,14 +1,15 @@
 //! Roster-wide bounded model checking and engine-contract auditing.
 //!
-//! The exhaustive checker in `sim_lint::mck` proves PLRU-tree invariants
-//! by enumerating every tree state — possible because a `k`-way tree is
-//! `k - 1` bits. The rest of the roster (ARC's adaptive partition, EHC's
-//! hit-count tables, AWRP's clocks, dueling PSELs) has state spaces that
-//! are astronomically large or outright unbounded, so this module drives
-//! each policy through the *bounded* checker instead
-//! ([`sim_lint::BoundedChecker`]): breadth-first search over a tiny
-//! cache's reachable states with digest-based deduplication, proving on
-//! every explored transition that
+//! The PLRU battery in `sim_lint::mck` proves PLRU-tree invariants by
+//! enumerating every tree state — possible because a `k`-way tree is
+//! `k - 1` bits — and by searching one set's reachable (tree, valid-mask)
+//! product to exhaustion on [`sim_lint::BoundedChecker`]. The rest of the
+//! roster (ARC's adaptive partition, EHC's hit-count tables, AWRP's
+//! clocks, dueling PSELs) has state spaces that are astronomically large
+//! or outright unbounded, so this module drives each policy through the
+//! same checker under state, depth and wall-clock budgets: breadth-first
+//! search over a tiny cache's reachable states with digest-based
+//! deduplication, proving on every explored transition that
 //!
 //! * victim selection is total and in range, and an invalid way is never
 //!   evicted ([`PolicyModel`] mirrors the exact `SetAssocCache` fill
@@ -19,7 +20,12 @@
 //!   ghost lists never exceed capacity, AWRP clocks stay stride-aligned,
 //!   recency stacks remain permutations, and
 //! * constant-input promotion orbits revisit a state (the bounded
-//!   checker's orbit pass).
+//!   checker's orbit pass: from every state when the search exhausts the
+//!   graph, from sampled states otherwise).
+//!
+//! These models do not implement [`PolicyState::fork`]: the checker
+//! rebuilds each node's state by reset and replay, so policies need not
+//! be cloneable.
 //!
 //! Two contract-soundness passes ride on the same machinery:
 //!

@@ -3,9 +3,9 @@
 //! Each type here re-derives its optimized counterpart's behaviour from the
 //! paper's *specification*, using a deliberately different representation:
 //!
-//! * [`RefPlru`] keeps one `bool` per tree node instead of packed `u64`
-//!   bits, and derives positions by walking root → leaf (the optimized
-//!   [`gippr::PlruTree`] walks leaf → root).
+//! * [`MirrorTree`] (from `sim-lint`) keeps one `bool` per tree node
+//!   instead of packed `u64` bits, and derives positions by walking
+//!   root → leaf (the optimized [`gippr::PlruTree`] walks leaf → root).
 //! * [`RefRecencyStack`] keeps the MRU→LRU *ordering* as a list of ways
 //!   (the optimized [`gippr::RecencyStack`] stores each way's integer
 //!   position), so its shifting semantics fall out of `remove`/`insert`.
@@ -19,100 +19,7 @@
 
 use gippr::Ipv;
 use sim_core::{AccessContext, CacheGeometry, ReplacementPolicy};
-
-/// A tree PseudoLRU state holding one `bool` per internal node.
-///
-/// Node indices are heap order from 1 (the root); node `i`'s children are
-/// `2i` and `2i + 1`, and way `w`'s leaf is node `ways + w`. `false` points
-/// left, `true` points right.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefPlru {
-    /// `nodes[i]` is node `i`'s bit; index 0 is unused.
-    nodes: Vec<bool>,
-    ways: usize,
-}
-
-impl RefPlru {
-    /// Creates an all-zero tree for a power-of-two associativity in 2..=64.
-    pub fn new(ways: usize) -> Self {
-        assert!(
-            ways.is_power_of_two() && (2..=64).contains(&ways),
-            "RefPlru needs a power-of-two associativity in 2..=64, got {ways}"
-        );
-        RefPlru {
-            nodes: vec![false; ways],
-            ways,
-        }
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    fn levels(&self) -> usize {
-        self.ways.trailing_zeros() as usize
-    }
-
-    /// The PseudoLRU victim: follow the bits down from the root.
-    pub fn victim(&self) -> usize {
-        let mut node = 1;
-        while node < self.ways {
-            node = 2 * node + usize::from(self.nodes[node]);
-        }
-        node - self.ways
-    }
-
-    /// Promotes `way` to pseudo-MRU (position 0).
-    pub fn promote(&mut self, way: usize) {
-        self.set_position(way, 0);
-    }
-
-    /// Reads `way`'s pseudo recency-stack position by walking root → leaf.
-    ///
-    /// At depth `d` (root = 0) the path branches on bit `levels - 1 - d` of
-    /// `way`; the node contributes that same bit of the position when its
-    /// plru bit points *toward* the block.
-    pub fn position(&self, way: usize) -> usize {
-        assert!(way < self.ways, "way {way} out of range");
-        let levels = self.levels();
-        let mut node = 1;
-        let mut pos = 0;
-        for d in 0..levels {
-            let bit_index = levels - 1 - d;
-            let branch = way >> bit_index & 1;
-            let toward_block = usize::from(self.nodes[node]) == branch;
-            if toward_block {
-                pos |= 1 << bit_index;
-            }
-            node = 2 * node + branch;
-        }
-        pos
-    }
-
-    /// Writes `way`'s position, rewriting the bits on its root-to-leaf path.
-    pub fn set_position(&mut self, way: usize, position: usize) {
-        assert!(way < self.ways, "way {way} out of range");
-        assert!(position < self.ways, "position {position} out of range");
-        let levels = self.levels();
-        let mut node = 1;
-        for d in 0..levels {
-            let bit_index = levels - 1 - d;
-            let branch = way >> bit_index & 1;
-            let pos_bit = position >> bit_index & 1 == 1;
-            // Point toward the block iff the position bit says so: a right
-            // branch is "toward" when the node bit is 1, a left branch when
-            // it is 0.
-            self.nodes[node] = if branch == 1 { pos_bit } else { !pos_bit };
-            node = 2 * node + branch;
-        }
-    }
-
-    /// All ways' positions, indexed by way.
-    pub fn positions(&self) -> Vec<usize> {
-        (0..self.ways).map(|w| self.position(w)).collect()
-    }
-}
+use sim_lint::{MirrorTree, PlruState};
 
 /// A recency stack represented as the explicit MRU→LRU ordering of ways.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -382,16 +289,16 @@ impl ReplacementPolicy for RefSrrip {
     }
 }
 
-/// Reference plain tree PseudoLRU over [`RefPlru`] trees.
+/// Reference plain tree PseudoLRU over [`MirrorTree`]s.
 pub struct RefPlruPolicy {
-    trees: Vec<RefPlru>,
+    trees: Vec<MirrorTree>,
 }
 
 impl RefPlruPolicy {
     /// Creates the reference PLRU policy for `geom`.
     pub fn new(geom: &CacheGeometry) -> Self {
         RefPlruPolicy {
-            trees: vec![RefPlru::new(geom.ways()); geom.sets()],
+            trees: vec![MirrorTree::new(geom.ways()); geom.sets()],
         }
     }
 }
@@ -406,11 +313,11 @@ impl ReplacementPolicy for RefPlruPolicy {
     }
 
     fn on_hit(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-        self.trees[set].promote(way);
+        self.trees[set].set_position(way, 0);
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _ctx: &AccessContext) {
-        self.trees[set].promote(way);
+        self.trees[set].set_position(way, 0);
     }
 
     fn bits_per_set(&self) -> u64 {
@@ -418,11 +325,11 @@ impl ReplacementPolicy for RefPlruPolicy {
     }
 }
 
-/// Reference GIPPR: [`RefPlru`] trees driven by an insertion/promotion
+/// Reference GIPPR: [`MirrorTree`]s driven by an insertion/promotion
 /// vector — a hit at position `p` moves to `V[p]`, a fill lands at `V[k]`.
 pub struct RefGippr {
     ipv: Ipv,
-    trees: Vec<RefPlru>,
+    trees: Vec<MirrorTree>,
 }
 
 impl RefGippr {
@@ -431,7 +338,7 @@ impl RefGippr {
         assert_eq!(ipv.assoc(), geom.ways(), "vector/geometry mismatch");
         RefGippr {
             ipv,
-            trees: vec![RefPlru::new(geom.ways()); geom.sets()],
+            trees: vec![MirrorTree::new(geom.ways()); geom.sets()],
         }
     }
 }
@@ -666,30 +573,6 @@ impl ReplacementPolicy for RefPdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn ref_plru_round_trips_positions() {
-        for ways in [2usize, 4, 8, 16, 32, 64] {
-            let mut t = RefPlru::new(ways);
-            for w in 0..ways {
-                for p in 0..ways {
-                    t.set_position(w, p);
-                    assert_eq!(t.position(w), p, "{ways}-way, way {w}, pos {p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ref_plru_positions_are_a_permutation() {
-        let mut t = RefPlru::new(16);
-        for (i, w) in [3usize, 7, 1, 15, 8, 2, 9, 0, 12].iter().enumerate() {
-            t.set_position(*w, (i * 5) % 16);
-            let mut ps = t.positions();
-            ps.sort_unstable();
-            assert_eq!(ps, (0..16).collect::<Vec<_>>());
-        }
-    }
 
     #[test]
     fn ref_stack_matches_documented_shifts() {

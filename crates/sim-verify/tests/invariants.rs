@@ -10,7 +10,8 @@ use gippr::{PlruTree, RecencyStack};
 use proptest::prelude::*;
 use sim_core::dueling::DuelController;
 use sim_core::{AccessContext, CacheGeometry, SetRole};
-use sim_verify::{RefPlru, RefRecencyStack};
+use sim_lint::{MirrorTree, PlruState};
+use sim_verify::RefRecencyStack;
 
 /// Strategy: a supported power-of-two associativity.
 fn pow2_ways() -> impl Strategy<Value = usize> {
@@ -29,7 +30,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..64, 0usize..64), 1..40),
     ) {
         let mut tree = PlruTree::new(ways);
-        let mut naive = RefPlru::new(ways);
+        let mut naive = MirrorTree::new(ways);
         for (w, p) in ops {
             let (w, p) = (w % ways, p % ways);
             tree.set_position(w, p);
@@ -37,7 +38,8 @@ proptest! {
             prop_assert_eq!(tree.position(w), p);
             prop_assert_eq!(naive.position(w), p);
             // The two representations agree on every way, and on the victim.
-            prop_assert_eq!(tree.positions(), naive.positions());
+            let naive_positions: Vec<usize> = (0..ways).map(|w| naive.position(w)).collect();
+            prop_assert_eq!(tree.positions(), naive_positions);
             prop_assert_eq!(tree.victim(), naive.victim());
             // Positions always form a permutation of 0..ways.
             let mut ps = tree.positions();

@@ -9,13 +9,16 @@
 //!   `sim_core::persist` path instead of raw `fs::write`/`File::create`,
 //!   and (unless `--skip-clippy`) shells out to
 //!   `cargo clippy --workspace --all-targets -- -D warnings`.
-//! * `model-check` — the roster-wide verification gate, five passes:
+//! * `model-check` — the roster-wide verification gate, five passes that
+//!   share one search engine, `sim_lint::BoundedChecker`:
 //!   1. the exhaustive PLRU battery: the production `gippr::PlruTree` and
 //!      the bit-sliced `sim_core::SlicedTreeLane` (checked at a non-zero
 //!      lane offset with live poison in sibling lanes) under plain PLRU,
 //!      classic vectors, and every published paper vector, at
-//!      associativities 2–16, cross-checked against the naive mirror
-//!      over the complete state space;
+//!      associativities 2–16 — a sweep of every tree state plus an
+//!      uncapped search of the reachable (tree × valid-mask) product that
+//!      must end exhausted — cross-checked against the naive mirror over
+//!      the complete state space;
 //!   2. the bounded roster sweep: every baseline-roster policy adapted
 //!      onto `sim_lint::BoundedChecker` via `sim_verify::PolicyModel`,
 //!      proving victim totality, never-evict-invalid, policy-declared
@@ -27,12 +30,16 @@
 //!      advertises (plus the published paper vectors) checked lane-by-lane
 //!      against the scalar interpreters;
 //!   5. the Mattson qualification audit plus seeded-defect self-tests
-//!      (poisoned ARC `p` update, fake-`SetLocal` fixture, poisoned lane
-//!      transitions) proving each checker catches its defect class.
+//!      (broken PLRU victim walk, lossy position write and poisoned tree
+//!      state, a substrate disagreement, poisoned ARC `p` update,
+//!      fake-`SetLocal` fixture, poisoned lane transitions) proving each
+//!      checker catches its defect class.
 //!
 //!   `--policy NAME` restricts the roster passes to one policy;
-//!   `--budget-secs N` caps the bounded sweeps' wall clock (CI uses this
-//!   to stay under a minute). Nonzero exit on any counterexample.
+//!   `--budget-secs N` caps the roster and affinity sweeps' wall clock
+//!   (CI uses this to stay under a minute); it never applies to the PLRU
+//!   battery. Each pass prints its elapsed seconds. Nonzero exit on any
+//!   counterexample.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -573,16 +580,22 @@ fn model_check(args: &[String]) -> usize {
 
     let mut failures = 0;
     if matches("PseudoLRU") {
-        failures += plru_tree_battery(max_ways);
+        failures += timed_pass("plru battery", || plru_tree_battery(max_ways));
     }
-    failures += roster_bounded_pass(&roster, &matches, per_run);
-    failures += affinity_pass(&roster, &matches, per_run);
-    failures += kernel_sweep_pass(&roster, &matches, max_ways);
+    failures += timed_pass("bounded roster sweep", || {
+        roster_bounded_pass(&roster, &matches, per_run)
+    });
+    failures += timed_pass("shard-affinity pass", || {
+        affinity_pass(&roster, &matches, per_run)
+    });
+    failures += timed_pass("slice-kernel sweep", || {
+        kernel_sweep_pass(&roster, &matches, max_ways)
+    });
     if matches("LRU") {
-        failures += mattson_pass();
+        failures += timed_pass("mattson audit", mattson_pass);
     }
     if policy_filter.is_none() {
-        failures += checker_selftests();
+        failures += timed_pass("checker self-tests", checker_selftests);
     }
     println!(
         "model-check: {:.1}s elapsed{}",
@@ -595,9 +608,25 @@ fn model_check(args: &[String]) -> usize {
     failures
 }
 
+/// Runs one model-check pass and prints its wall clock, so a CI log shows
+/// where the time goes.
+fn timed_pass(name: &str, pass: impl FnOnce() -> usize) -> usize {
+    let started = Instant::now();
+    let failures = pass();
+    println!(
+        "model-check: {name} took {:.2}s",
+        started.elapsed().as_secs_f64()
+    );
+    failures
+}
+
 /// Pass 1: the exhaustive PLRU-tree battery (scalar and bit-sliced
-/// interpreters, full state space, every rule, cross-checks).
+/// interpreters, full state space, every rule, cross-checks). Every
+/// reachable search runs uncapped and must end `Exhausted`; the
+/// `--budget-secs` deadline never applies here.
 fn plru_tree_battery(max_ways: usize) -> usize {
+    type Sliced0 = sim_core::SlicedTreeLane<0>;
+    type Sliced3 = sim_core::SlicedTreeLane<3>;
     let mut failures = 0;
     println!(
         "{:>4}  {:<28} {:>12} {:>12} {:>12}  verdict",
@@ -608,41 +637,19 @@ fn plru_tree_battery(max_ways: usize) -> usize {
         if ways > max_ways {
             continue;
         }
+        // The sweep is rule-independent: once per substrate.
+        let tree = sim_lint::sweep_trees::<gippr::PlruTree>(ways);
+        let sliced = sim_lint::sweep_trees::<Sliced3>(ways);
         for (name, rule) in rules_for(ways) {
-            match sim_lint::ModelChecker::new(ways, rule.clone()).run::<gippr::PlruTree>() {
-                Ok(report) => println!(
-                    "{:>4}  {:<28} {:>12} {:>12} {:>12}  ok",
-                    ways, name, report.tree_states, report.reachable_states, report.transitions
-                ),
-                Err(ce) => {
-                    println!("{ways:>4}  {name:<28} {:>38}  COUNTEREXAMPLE", "");
-                    eprintln!("{ce}");
-                    failures += 1;
-                }
-            }
+            let run = sim_lint::check_reachable::<gippr::PlruTree>(ways, rule.clone());
+            failures += battery_row(ways, &name, &tree, run);
             // Same rule, this time interpreted by the bit-sliced tree at a
             // non-zero lane offset: the packed arithmetic must honor every
             // rule while the sibling lanes hold live poison (SlicedTreeLane
             // panics if a write leaks across a lane boundary).
-            let sliced_name = format!("{name} [sliced]");
-            match sim_lint::ModelChecker::new(ways, rule).run::<sim_core::SlicedTreeLane<3>>() {
-                Ok(report) => println!(
-                    "{:>4}  {:<28} {:>12} {:>12} {:>12}  ok",
-                    ways,
-                    sliced_name,
-                    report.tree_states,
-                    report.reachable_states,
-                    report.transitions
-                ),
-                Err(ce) => {
-                    println!("{ways:>4}  {sliced_name:<28} {:>38}  COUNTEREXAMPLE", "");
-                    eprintln!("{ce}");
-                    failures += 1;
-                }
-            }
+            let run = sim_lint::check_reachable::<Sliced3>(ways, rule);
+            failures += battery_row(ways, &format!("{name} [sliced]"), &sliced, run);
         }
-        type Sliced0 = sim_core::SlicedTreeLane<0>;
-        type Sliced3 = sim_core::SlicedTreeLane<3>;
         let cross: [(&str, Result<u64, _>); 3] = [
             (
                 "cross-check vs mirror",
@@ -674,6 +681,32 @@ fn plru_tree_battery(max_ways: usize) -> usize {
     failures
 }
 
+/// Prints one battery row: the substrate's tree sweep and one rule's
+/// reachable search, which must have closed the state space.
+fn battery_row(
+    ways: usize,
+    name: &str,
+    sweep: &Result<u64, Box<sim_lint::Counterexample>>,
+    run: Result<sim_lint::BoundedReport, Box<sim_lint::BoundedTrail>>,
+) -> usize {
+    let (verdict, detail) = match (sweep, run) {
+        (Ok(tree_states), Ok(r)) if r.stop == sim_lint::StopReason::Exhausted => {
+            let (states, transitions) = (r.states, r.transitions);
+            println!("{ways:>4}  {name:<28} {tree_states:>12} {states:>12} {transitions:>12}  ok");
+            return 0;
+        }
+        (Ok(_), Ok(r)) => (
+            "STOPPED",
+            format!("{name} at {ways} ways stopped: {}", r.stop),
+        ),
+        (Err(ce), _) => ("COUNTEREXAMPLE", ce.to_string()),
+        (_, Err(trail)) => ("COUNTEREXAMPLE", trail.to_string()),
+    };
+    println!("{ways:>4}  {name:<28} {:>38}  {verdict}", "");
+    eprintln!("{detail}");
+    1
+}
+
 /// The tiny geometries the bounded roster sweep explores. Small enough
 /// for BFS to close or nearly close the reachable set, large enough to
 /// exercise multi-set interaction (dueling leader maps, ARC's global
@@ -700,52 +733,15 @@ fn roster_bounded_pass(
     matches: &dyn Fn(&str) -> bool,
     per_run: Option<Duration>,
 ) -> usize {
-    use sim_lint::PolicyState;
-
     println!("\nbounded roster sweep (BFS with state hashing, invariants on every transition):");
-    println!(
-        "{:<10} {:>5} {:>7} {:>9} {:>12} {:>7} {:>13}  verdict",
-        "policy", "ways", "inputs", "states", "transitions", "orbits", "stop"
-    );
-    let mut failures = 0;
-    for entry in roster {
-        if !matches(entry.name) {
-            continue;
-        }
-        for (geom, bps) in bounded_geometries() {
-            let mut model =
-                sim_verify::PolicyModel::new(entry.name, geom, bps, entry.build.clone());
-            let mut checker = sim_lint::BoundedChecker::new()
-                .with_max_states(4096)
-                .with_max_depth(24);
-            if !entry.orbit_converges {
-                // PDP's periodic access counter and AWRP's idle-way ages
-                // are genuinely unbounded: constant-input orbits mint
-                // fresh states forever, so only the budgeted BFS applies.
-                checker = checker.with_orbits(0, 0);
-            }
-            if let Some(b) = per_run {
-                checker = checker.with_budget(b);
-            }
-            match checker.run(&mut model) {
-                Ok(r) => println!(
-                    "{:<10} {:>5} {:>7} {:>9} {:>12} {:>7} {:>13}  ok",
-                    entry.name,
-                    geom.ways(),
-                    model.num_inputs(),
-                    r.states,
-                    r.transitions,
-                    r.orbits_checked,
-                    r.stop.to_string(),
-                ),
-                Err(trail) => {
-                    println!("{:<10} {:>5}  COUNTEREXAMPLE", entry.name, geom.ways());
-                    eprintln!("{trail}");
-                    failures += 1;
-                }
-            }
-        }
-    }
+    let (failures, _) = bounded_runs(roster, matches, per_run, (4096, 24), &|entry, geom, bps| {
+        Some(Box::new(sim_verify::PolicyModel::new(
+            entry.name,
+            geom,
+            bps,
+            entry.build.clone(),
+        )))
+    });
     failures
 }
 
@@ -759,44 +755,71 @@ fn affinity_pass(
     per_run: Option<Duration>,
 ) -> usize {
     println!("\nshard-affinity pass (interleaved vs isolated per-set replicas):");
-    println!(
-        "{:<10} {:>5} {:>9} {:>12} {:>13}  verdict",
-        "policy", "ways", "states", "transitions", "stop"
-    );
-    let mut failures = 0;
-    let mut checked = 0;
-    for entry in roster {
-        if !matches(entry.name) {
-            continue;
-        }
-        for (geom, bps) in bounded_geometries() {
+    let (failures, checked) =
+        bounded_runs(roster, matches, per_run, (2048, 16), &|entry, geom, bps| {
             let geom = sim_core::CacheGeometry::from_sets(2, geom.ways(), 64)
                 .expect("valid tiny geometry");
-            let mut model =
-                match sim_verify::AffinityModel::new(entry.name, geom, bps, entry.build.clone()) {
-                    Ok(m) => m,
-                    // Global policies are legitimately interleaving-
-                    // sensitive; the contract only binds SetLocal claims.
-                    Err(_) => continue,
-                };
+            // Global policies are legitimately interleaving-sensitive; the
+            // contract only binds SetLocal claims.
+            sim_verify::AffinityModel::new(entry.name, geom, bps, entry.build.clone())
+                .ok()
+                .map(|m| Box::new(m) as Box<dyn sim_lint::PolicyState>)
+        });
+    println!("affinity pass: {checked} SetLocal policy/geometry combinations verified");
+    failures
+}
+
+/// Builds the model one bounded run checks for a roster entry, tiny
+/// geometry and blocks per set; `None` skips the pair.
+type ModelFor = dyn Fn(
+    &sim_verify::MckEntry,
+    sim_core::CacheGeometry,
+    usize,
+) -> Option<Box<dyn sim_lint::PolicyState>>;
+
+/// One bounded run per selected roster entry and tiny geometry, on the
+/// model `build` makes (`None` skips the pair). Returns the failure count
+/// and the number of runs that passed.
+fn bounded_runs(
+    roster: &[sim_verify::MckEntry],
+    matches: &dyn Fn(&str) -> bool,
+    per_run: Option<Duration>,
+    (max_states, max_depth): (usize, usize),
+    build: &ModelFor,
+) -> (usize, usize) {
+    println!(
+        "{:<10} {:>5} {:>7} {:>9} {:>12} {:>7} {:>13}  verdict",
+        "policy", "ways", "inputs", "states", "transitions", "orbits", "stop"
+    );
+    let (mut failures, mut passed) = (0, 0);
+    for entry in roster.iter().filter(|e| matches(e.name)) {
+        for (geom, bps) in bounded_geometries() {
+            let Some(mut model) = build(entry, geom, bps) else {
+                continue;
+            };
             let mut checker = sim_lint::BoundedChecker::new()
-                .with_max_states(2048)
-                .with_max_depth(16);
+                .with_max_states(max_states)
+                .with_max_depth(max_depth);
             if !entry.orbit_converges {
+                // PDP's periodic access counter and AWRP's idle-way ages
+                // are genuinely unbounded: constant-input orbits mint
+                // fresh states forever, so only the budgeted BFS applies.
                 checker = checker.with_orbits(0, 0);
             }
             if let Some(b) = per_run {
                 checker = checker.with_budget(b);
             }
-            match checker.run(&mut model) {
+            match checker.run(model.as_mut()) {
                 Ok(r) => {
-                    checked += 1;
+                    passed += 1;
                     println!(
-                        "{:<10} {:>5} {:>9} {:>12} {:>13}  ok",
+                        "{:<10} {:>5} {:>7} {:>9} {:>12} {:>7} {:>13}  ok",
                         entry.name,
                         geom.ways(),
+                        model.num_inputs(),
                         r.states,
                         r.transitions,
+                        r.orbits_checked,
                         r.stop.to_string(),
                     );
                 }
@@ -808,8 +831,7 @@ fn affinity_pass(
             }
         }
     }
-    println!("affinity pass: {checked} SetLocal policy/geometry combinations verified");
-    failures
+    (failures, passed)
 }
 
 /// Pass 4: the slice-kernel equivalence sweep. Every kernel the roster
@@ -962,6 +984,12 @@ fn checker_selftests() -> usize {
             failures += 1;
         }
     };
+
+    // Seeded PLRU substrates: the tree sweep, the reachable search, and
+    // the cross-check must each catch the defect they exist for.
+    for (label, caught) in sim_lint::mck::seeded::catches::<gippr::PlruTree>() {
+        expect(label, caught.is_ok(), caught.err().unwrap_or_default());
+    }
 
     // Poisoned lane transitions: the kernel sweep must flag a cross-lane
     // XOR in the PLRU interpreter and nibble corruption in the stack and
