@@ -32,7 +32,7 @@ pub mod stats;
 
 pub use cache::{workload_cache, WorkloadCache};
 pub use pipeline::{Experiment, Pipeline, PipelineReport};
-pub use report::{Args, Table};
+pub use report::{Args, Table, UsageError};
 pub use runner::{measure_min, measure_policy, prepare_workloads, PolicyMeasurement, WorkloadData};
 pub use scale::Scale;
 pub use stats::geometric_mean;

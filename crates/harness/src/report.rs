@@ -199,48 +199,91 @@ impl Default for Args {
     }
 }
 
+/// The flags [`Args`] accepts, as printed after `usage: <binary>`.
+const ARGS_USAGE: &str =
+    "[--scale micro|quick|medium|paper] [--out DIR] [--wn1] [--resume] [--only NAME[,NAME...]]";
+
+/// Why a command line is not one [`Args`] accepts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UsageError {
+    /// `--help` or `-h`: print the usage.
+    Help,
+    /// A misuse, with the complaint to print above the usage.
+    Bad(String),
+}
+
+impl fmt::Display for UsageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UsageError::Help => write!(f, "help requested"),
+            UsageError::Bad(complaint) => write!(f, "{complaint}"),
+        }
+    }
+}
+
+impl std::error::Error for UsageError {}
+
 impl Args {
     /// Parses command-line arguments (without the program name).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage hint on unknown flags or missing values.
-    pub fn parse(args: &[String]) -> Args {
+    /// [`UsageError`] on `--help`, an unknown flag, or a missing or bad
+    /// value.
+    pub fn parse(args: &[String]) -> Result<Args, UsageError> {
+        let bad = |complaint: &str| UsageError::Bad(complaint.to_string());
         let mut parsed = Args::default();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
                 "--scale" => {
-                    i += 1;
-                    parsed.scale = args
-                        .get(i)
+                    parsed.scale = it
+                        .next()
                         .and_then(|s| crate::Scale::parse(s))
-                        .unwrap_or_else(|| panic!("--scale needs quick|medium|paper"));
+                        .ok_or_else(|| bad("--scale needs micro|quick|medium|paper"))?;
                 }
                 "--out" => {
-                    i += 1;
-                    parsed.out = Some(args.get(i).expect("--out needs a directory").clone());
+                    parsed.out = Some(
+                        it.next()
+                            .ok_or_else(|| bad("--out needs a directory"))?
+                            .clone(),
+                    );
                 }
                 "--wn1" => parsed.wn1 = true,
                 "--resume" => parsed.resume = true,
                 "--only" => {
-                    i += 1;
-                    let names = args.get(i).expect("--only needs experiment name(s)");
+                    let names = it
+                        .next()
+                        .ok_or_else(|| bad("--only needs experiment name(s)"))?;
                     parsed
                         .only
                         .extend(names.split(',').map(|n| n.trim().to_string()));
                 }
-                other => panic!("unknown argument {other:?} (try --scale quick|medium|paper)"),
+                "--help" | "-h" => return Err(UsageError::Help),
+                other => return Err(UsageError::Bad(format!("unknown argument {other:?}"))),
             }
-            i += 1;
         }
-        parsed
+        Ok(parsed)
     }
 
-    /// Parses the current process's command line.
+    /// Parses the current process's command line. On a [`UsageError`] it
+    /// prints the complaint and the usage to stderr and exits with status
+    /// 2.
     pub fn from_env() -> Args {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Args::parse(&args)
+        let mut argv = std::env::args();
+        let bin = argv
+            .next()
+            .as_deref()
+            .and_then(|p| Path::new(p).file_name()?.to_str().map(str::to_string))
+            .unwrap_or_else(|| "harness".to_string());
+        let args: Vec<String> = argv.collect();
+        Args::parse(&args).unwrap_or_else(|e| {
+            if let UsageError::Bad(complaint) = &e {
+                eprintln!("{bin}: {complaint}");
+            }
+            eprintln!("usage: {bin} {ARGS_USAGE}");
+            std::process::exit(2);
+        })
     }
 }
 
@@ -291,12 +334,12 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let a = Args::parse(&["--scale".into(), "medium".into(), "--wn1".into()]);
+        let a = Args::parse(&["--scale".into(), "medium".into(), "--wn1".into()]).unwrap();
         assert_eq!(a.scale, crate::Scale::Medium);
         assert!(a.out.is_none());
         assert!(a.wn1);
         assert!(!a.resume);
-        let a = Args::parse(&["--out".into(), "results".into()]);
+        let a = Args::parse(&["--out".into(), "results".into()]).unwrap();
         assert_eq!(a.scale, crate::Scale::Quick);
         assert_eq!(a.out.as_deref(), Some("results"));
         let a = Args::parse(&[
@@ -305,9 +348,36 @@ mod tests {
             "fig01,fig04".into(),
             "--only".into(),
             "fig10".into(),
-        ]);
+        ])
+        .unwrap();
         assert!(a.resume);
         assert_eq!(a.only, vec!["fig01", "fig04", "fig10"]);
+        for (args, want) in [
+            (&["--help"][..], UsageError::Help),
+            (
+                &["--scale"][..],
+                UsageError::Bad("--scale needs micro|quick|medium|paper".into()),
+            ),
+            (
+                &["--scale", "huge"][..],
+                UsageError::Bad("--scale needs micro|quick|medium|paper".into()),
+            ),
+            (
+                &["--out"][..],
+                UsageError::Bad("--out needs a directory".into()),
+            ),
+            (
+                &["--only"][..],
+                UsageError::Bad("--only needs experiment name(s)".into()),
+            ),
+            (
+                &["--bogus"][..],
+                UsageError::Bad("unknown argument \"--bogus\"".into()),
+            ),
+        ] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            assert_eq!(Args::parse(&args), Err(want), "{args:?}");
+        }
     }
 
     #[test]

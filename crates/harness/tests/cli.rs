@@ -1,6 +1,7 @@
-//! Command-line misuse of `bench-replay` and `bench-serve`: the usage goes
-//! to stderr and the process exits with status 2 — never a panic
-//! backtrace.
+//! Command-line misuse of the harness binaries (`bench-replay`,
+//! `bench-serve`, and the figure drivers and `run-all` through
+//! `harness::Args`): the usage goes to stderr and the process exits with
+//! status 2 — never a panic backtrace.
 
 use std::process::Command;
 
@@ -48,5 +49,34 @@ fn bench_serve_misuse_prints_usage_and_exits_2() {
     ];
     for args in cases {
         assert_misuse(env!("CARGO_BIN_EXE_bench-serve"), "bench-serve", args);
+    }
+}
+
+/// Misuse of the flags every `harness::Args` binary shares.
+const ARGS_MISUSE: [&[&str]; 7] = [
+    &["--help"],
+    &["--bogus"],
+    &["--scale"],
+    &["--scale", "huge"],
+    &["--out"],
+    &["--only"],
+    &["--scale", "micro", "--wn2"],
+];
+
+#[test]
+fn figure_binary_misuse_prints_usage_and_exits_2() {
+    for args in ARGS_MISUSE {
+        assert_misuse(
+            env!("CARGO_BIN_EXE_fig10-mpki-gippr"),
+            "fig10-mpki-gippr",
+            args,
+        );
+    }
+}
+
+#[test]
+fn run_all_misuse_prints_usage_and_exits_2() {
+    for args in ARGS_MISUSE {
+        assert_misuse(env!("CARGO_BIN_EXE_run-all"), "run-all", args);
     }
 }

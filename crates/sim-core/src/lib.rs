@@ -77,7 +77,7 @@ pub use persist::{atomic_write, atomic_write_with};
 pub use policy::{PolicyFactory, ReplacementPolicy, ShardAffinity};
 pub use sample::SampledStream;
 pub use slice::{
-    kernel_soundness_sweep, replay_sliced, KernelSweepReport, SliceKernel, SlicedTree,
+    kernel_soundness_sweep, replay_sliced, KernelSweepReport, SliceKernel, SlicedCache, SlicedTree,
     SlicedTreeLane,
 };
 pub use stats::CacheStats;

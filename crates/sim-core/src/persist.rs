@@ -9,6 +9,11 @@
 //! hybrid; at worst an orphaned `.tmp` file remains, which writers ignore
 //! and startup pruning removes.
 //!
+//! Append-only formats whose readers drop a damaged tail (the `sim-serve`
+//! session snapshots) grow their files with [`append_at`] instead: the
+//! new bytes are written after the existing image and `sync_data`ed, so a
+//! crash mid-append leaves the old image plus a torn tail.
+//!
 //! The module is instrumented with [`sim_fault`] write points (labeled by
 //! the destination path), so torn writes, disk-full errors, committed
 //! corruption, and kill-mid-write are all injectable deterministically in
@@ -141,6 +146,83 @@ fn commit(
     Ok(())
 }
 
+/// Durably appends `bytes` to the existing file at `path`, which must be
+/// exactly `at` bytes long: the payload is written at offset `at` and
+/// `sync_data`ed before returning. A file of any other length (one
+/// rewritten or truncated under the caller) fails the append untouched,
+/// so an append never lands anywhere but where the caller's last image
+/// ended.
+///
+/// This is the crash-safe write for append-only formats whose readers
+/// tolerate a damaged tail: a crash mid-append leaves the old content
+/// followed by a prefix of `bytes`, never less than the old content. It
+/// carries the same [`sim_fault`] write points as [`atomic_write`]
+/// (labeled by `path`): `enospc` fails before any byte moves, `torn`
+/// appends a prefix and fails, `corrupt` appends with one byte flipped and
+/// succeeds, and `exit` appends a prefix and terminates the process.
+///
+/// # Errors
+///
+/// Propagates filesystem errors (including injected ones); a missing file
+/// or a length other than `at` is an error.
+pub fn append_at(path: &Path, at: u64, bytes: &[u8]) -> io::Result<()> {
+    use sim_fault::WriteFault;
+    use std::io::{Seek, SeekFrom};
+
+    let label = path.to_string_lossy();
+    let fault = sim_fault::on_write(&label);
+    if fault == WriteFault::Error {
+        return Err(io::Error::other(format!(
+            "injected write fault: no space left on device ({label})"
+        )));
+    }
+    let mut file = fs::OpenOptions::new().write(true).open(path)?;
+    let len = file.metadata()?.len();
+    if len != at {
+        return Err(io::Error::other(format!(
+            "append to {} expected {at} bytes, found {len}",
+            path.display()
+        )));
+    }
+    file.seek(SeekFrom::Start(at))?;
+    let keep = match fault {
+        WriteFault::Torn(keep) => keep.unwrap_or(bytes.len() / 2).min(bytes.len()),
+        WriteFault::Exit => bytes.len() / 2,
+        _ => bytes.len(),
+    };
+    if fault == WriteFault::Corrupt {
+        // Committed corruption, as in `commit`: only a reader-side CRC
+        // can catch it.
+        let mut payload = bytes.to_vec();
+        let mid = payload.len() / 2;
+        match payload.get_mut(mid) {
+            Some(byte) => *byte ^= 0x40,
+            None => payload.push(0x40),
+        }
+        file.write_all(&payload)?;
+    } else {
+        file.write_all(&bytes[..keep])?;
+    }
+    file.sync_data()?;
+    match fault {
+        WriteFault::Torn(_) => Err(io::Error::other(format!(
+            "injected write fault: torn append ({})",
+            path.display()
+        ))),
+        WriteFault::Exit => {
+            // Simulated SIGKILL mid-append: a prefix of the payload is on
+            // disk and the caller never hears back.
+            eprintln!(
+                "sim-fault: exiting mid-append to {} ({keep} of {} bytes written)",
+                path.display(),
+                bytes.len()
+            );
+            std::process::exit(FAULT_EXIT_CODE);
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Fsyncs the destination's directory so the rename itself is durable
 /// (without this, a power cut can forget the rename while remembering the
 /// data). Advisory: filesystems that cannot fsync directories are skipped.
@@ -206,8 +288,50 @@ mod tests {
         assert_eq!(tmp_path(Path::new("fig10.csv")), Path::new("fig10.csv.tmp"));
     }
 
+    #[test]
+    fn append_at_extends_only_an_image_of_the_expected_length() {
+        let dir = scratch("append");
+        let path = dir.join("log.bin");
+        assert!(append_at(&path, 0, b"x").is_err(), "no file to append to");
+        atomic_write(&path, b"head").unwrap();
+        append_at(&path, 4, b"+tail").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"head+tail");
+        let err = append_at(&path, 4, b"!").unwrap_err();
+        assert!(
+            err.to_string().contains("expected 4 bytes, found 9"),
+            "{err}"
+        );
+        assert_eq!(fs::read(&path).unwrap(), b"head+tail");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     mod injected {
         use super::*;
+
+        #[test]
+        fn append_faults_tear_fail_or_corrupt_the_tail_only() {
+            if !sim_fault::COMPILED_IN {
+                return;
+            }
+            let dir = scratch("append-faults");
+            let path = dir.join("seg.log");
+            atomic_write(&path, b"head").unwrap();
+            sim_fault::with_plan("enospc@seg.log", || {
+                let err = append_at(&path, 4, b"12345678").unwrap_err();
+                assert!(err.to_string().contains("no space left"), "{err}");
+            });
+            assert_eq!(fs::read(&path).unwrap(), b"head");
+            sim_fault::with_plan("torn@seg.log:keep=3", || {
+                let err = append_at(&path, 4, b"12345678").unwrap_err();
+                assert!(err.to_string().contains("torn append"), "{err}");
+            });
+            assert_eq!(fs::read(&path).unwrap(), b"head123");
+            sim_fault::with_plan("corrupt@seg.log", || {
+                append_at(&path, 7, b"abcd").unwrap();
+            });
+            assert_eq!(fs::read(&path).unwrap(), b"head123ab\x23d");
+            let _ = fs::remove_dir_all(&dir);
+        }
 
         #[test]
         fn torn_write_preserves_old_artifact_and_cleans_up() {

@@ -17,7 +17,10 @@
 //! [`SetAssocCache::access_tagged`](crate::SetAssocCache) — same
 //! statistics fields, same fill-invalid-first rule, same dirty/writeback
 //! accounting — so final stats are bit-identical to a monomorphized
-//! sequential replay (proven roster-wide by `sim-verify`).
+//! sequential replay (proven roster-wide by `sim-verify`). The same
+//! kernel loop also runs resumably: a [`SlicedCache`] keeps the tag array
+//! and packed state between batches, which is how `sim-serve` sessions
+//! replay kernel-bearing policies as their traffic arrives.
 //!
 //! Lane layout for the PLRU family (16-way shown; `k`-way uses
 //! `64 / k`-lane words, each lane `k` bits: `k - 1` tree bits plus one
@@ -1033,6 +1036,50 @@ fn run<P: ReplState, S: FnMut(u32, bool)>(
     stats
 }
 
+/// [`run`]'s loop without the warm-up split or the sink: one batch of a
+/// [`SlicedCache`] through [`step`].
+#[inline(always)]
+fn feed<P: ReplState>(
+    ways: usize,
+    geom: &CacheGeometry,
+    lines: &mut [u64],
+    state: &mut P,
+    stats: &mut CacheStats,
+    batch: &[Access],
+) {
+    for a in batch {
+        step(ways, geom, lines, state, stats, a);
+    }
+}
+
+/// Expands `$body` once per supported associativity with `$ways` bound
+/// to a literal, so each arm monomorphizes the kernel loop with a
+/// constant `ways`: the lane walks unroll and the `64/ways` lane math
+/// folds to shifts.
+macro_rules! with_const_ways {
+    ($geom:expr, $ways:ident => $body:expr) => {
+        match $geom.ways() {
+            2 => {
+                let $ways = 2;
+                $body
+            }
+            4 => {
+                let $ways = 4;
+                $body
+            }
+            8 => {
+                let $ways = 8;
+                $body
+            }
+            16 => {
+                let $ways = 16;
+                $body
+            }
+            w => unreachable!("supports() admitted ways {w}"),
+        }
+    };
+}
+
 /// Replays `stream` through the bit-sliced engine: the first `warmup`
 /// accesses only warm the cache, then statistics cover the remainder
 /// while `sink` receives each measured access's `(icount_delta, hit)` in
@@ -1052,27 +1099,91 @@ pub fn replay_sliced<S: FnMut(u32, bool)>(
         return None;
     }
     let sets = geom.sets();
-    // Dispatch on the (validated) associativity with literal arguments so
-    // each arm monomorphizes `run` with a constant `ways`: the lane walks
-    // unroll and the `64/ways` lane math folds to shifts.
-    macro_rules! run_ways {
-        ($st:expr) => {
-            match geom.ways() {
-                2 => run(2, geom, $st, stream, warmup, &mut sink),
-                4 => run(4, geom, $st, stream, warmup, &mut sink),
-                8 => run(8, geom, $st, stream, warmup, &mut sink),
-                16 => run(16, geom, $st, stream, warmup, &mut sink),
-                _ => unreachable!("supports() admitted ways {}", geom.ways()),
-            }
-        };
-    }
     Some(match kernel {
-        SliceKernel::PlruIpv { ipv } => run_ways!(&mut PlruLanes::new(sets, geom.ways(), ipv)),
-        SliceKernel::StackIpv { ipv } => run_ways!(&mut StackList::new(sets, geom.ways(), ipv)),
+        SliceKernel::PlruIpv { ipv } => {
+            let st = &mut PlruLanes::new(sets, geom.ways(), ipv);
+            with_const_ways!(geom, w => run(w, geom, st, stream, warmup, &mut sink))
+        }
+        SliceKernel::StackIpv { ipv } => {
+            let st = &mut StackList::new(sets, geom.ways(), ipv);
+            with_const_ways!(geom, w => run(w, geom, st, stream, warmup, &mut sink))
+        }
         SliceKernel::RripIpv { vector } => {
-            run_ways!(&mut RripNibbles::new(sets, geom.ways(), *vector))
+            let st = &mut RripNibbles::new(sets, geom.ways(), *vector);
+            with_const_ways!(geom, w => run(w, geom, st, stream, warmup, &mut sink))
         }
     })
+}
+
+/// Packed replacement state of one [`SlicedCache`].
+enum KernelState {
+    Plru(PlruLanes),
+    Stack(StackList),
+    Rrip(RripNibbles),
+}
+
+/// A resumable bit-sliced cache: the state of [`replay_sliced`] kept
+/// between calls, so a stream that arrives in batches (a `sim-serve`
+/// session) runs through the same kernel loop batch by batch. Feeding a
+/// stream in any split ends in the statistics of one whole-stream replay
+/// with no warm-up, which are those of `SetAssocCache::access_fast` over
+/// the same accesses.
+pub struct SlicedCache {
+    geom: CacheGeometry,
+    lines: Vec<u64>,
+    state: KernelState,
+    stats: CacheStats,
+}
+
+impl SlicedCache {
+    /// A cold cache running `kernel`, or `None` when the kernel does not
+    /// support `geom` (callers then keep the policy on `SetAssocCache`).
+    pub fn new(geom: CacheGeometry, kernel: &SliceKernel) -> Option<SlicedCache> {
+        if !kernel.supports(&geom) {
+            return None;
+        }
+        let (sets, ways) = (geom.sets(), geom.ways());
+        let state = match kernel {
+            SliceKernel::PlruIpv { ipv } => KernelState::Plru(PlruLanes::new(sets, ways, ipv)),
+            SliceKernel::StackIpv { ipv } => KernelState::Stack(StackList::new(sets, ways, ipv)),
+            SliceKernel::RripIpv { vector } => {
+                KernelState::Rrip(RripNibbles::new(sets, ways, *vector))
+            }
+        };
+        Some(SlicedCache {
+            geom,
+            lines: vec![0u64; sets * ways],
+            state,
+            stats: CacheStats::new(),
+        })
+    }
+
+    /// Runs `batch` through the cache.
+    pub fn feed(&mut self, batch: &[Access]) {
+        let SlicedCache {
+            geom,
+            lines,
+            state,
+            stats,
+        } = self;
+        let geom = &*geom;
+        match state {
+            KernelState::Plru(st) => {
+                with_const_ways!(geom, w => feed(w, geom, lines, st, stats, batch))
+            }
+            KernelState::Stack(st) => {
+                with_const_ways!(geom, w => feed(w, geom, lines, st, stats, batch))
+            }
+            KernelState::Rrip(st) => {
+                with_const_ways!(geom, w => feed(w, geom, lines, st, stats, batch))
+            }
+        }
+    }
+
+    /// Statistics over every access fed so far.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
 }
 
 #[cfg(test)]
@@ -1377,11 +1488,40 @@ mod tests {
     }
 
     #[test]
+    fn sliced_cache_fed_in_any_split_equals_cache_replay() {
+        for ways in [2usize, 4, 8, 16] {
+            let geom = CacheGeometry::from_sets(32, ways, 64).unwrap();
+            let stream = mixed_stream(6_000, 32 * ways as u64 * 3);
+            for kernel in kernels(ways) {
+                let mut cache =
+                    SetAssocCache::with_policy(geom, NaiveKernelPolicy::new(&geom, kernel.clone()));
+                for a in &stream {
+                    cache.access_fast(a);
+                }
+                let mut sliced = SlicedCache::new(geom, &kernel).expect("kernel supports geometry");
+                let (mut at, mut len) = (0, 0);
+                while at < stream.len() {
+                    // Batches of 0, 1, 2, 3, ... accesses.
+                    let end = (at + len).min(stream.len());
+                    sliced.feed(&stream[at..end]);
+                    (at, len) = (end, len + 1);
+                }
+                assert_eq!(
+                    *sliced.stats(),
+                    *cache.stats(),
+                    "ways={ways} kernel={kernel:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unsupported_geometry_falls_back() {
         let geom = CacheGeometry::from_sets(4, 32, 64).unwrap(); // 32-way
         let kernel = SliceKernel::PlruIpv { ipv: vec![0; 33] };
         assert!(!kernel.supports(&geom));
         assert!(replay_sliced(&[], &geom, &kernel, 0, |_, _| {}).is_none());
+        assert!(SlicedCache::new(geom, &kernel).is_none());
     }
 
     #[test]

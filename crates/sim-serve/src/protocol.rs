@@ -21,11 +21,11 @@
 //! kind, bad record bytes — decodes to a typed [`ProtoError`], never a
 //! panic.
 
-use sim_core::{Access, AccessKind, CacheStats};
+use sim_core::{Access, CacheStats};
 use std::error::Error;
 use std::fmt;
 use std::io::{self, Read, Write};
-use traces::format::Crc32;
+use traces::format::{decode_record, encode_record, Crc32};
 
 /// Protocol version spoken by this build (carried in `Hello`).
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -36,7 +36,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 pub const MAX_FRAME_LEN: usize = 1 << 20;
 
 /// One record of the `traces` container layout on the wire.
-pub const RECORD_BYTES: usize = 21;
+pub const RECORD_BYTES: usize = traces::format::RECORD_BYTES;
 
 // Client->server frame kinds.
 const K_HELLO: u8 = 0x01;
@@ -421,33 +421,6 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn put_access(buf: &mut Vec<u8>, a: &Access) {
-    // The `traces` container record layout, byte for byte.
-    buf.push(match a.kind {
-        AccessKind::Read => 0,
-        AccessKind::Write => 1,
-        AccessKind::Writeback => 2,
-    });
-    put_u64(buf, a.addr);
-    put_u64(buf, a.pc);
-    put_u32(buf, a.icount_delta);
-}
-
-fn get_access(c: &mut Cursor<'_>) -> Result<Access, ProtoError> {
-    let kind = match c.u8()? {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        2 => AccessKind::Writeback,
-        other => return Err(ProtoError::BadKind(other)),
-    };
-    Ok(Access {
-        kind,
-        addr: c.u64()?,
-        pc: c.u64()?,
-        icount_delta: c.u32()?,
-    })
-}
-
 fn put_stats(buf: &mut Vec<u8>, s: &CacheStats) {
     put_u64(buf, s.accesses);
     put_u64(buf, s.hits);
@@ -512,15 +485,15 @@ fn get_delta(c: &mut Cursor<'_>) -> Result<Delta, ProtoError> {
 /// Propagates sink I/O failures.
 pub fn write_frame(w: &mut dyn Write, kind: u8, payload: &[u8]) -> io::Result<()> {
     debug_assert!(payload.len() <= MAX_FRAME_LEN, "oversized frame built");
-    let mut crc = Crc32::new();
-    crc.update(&[kind]);
-    crc.update(payload);
     // One buffered write per frame so a frame is never interleaved with
-    // another thread's partial write at the `Write` level.
+    // another thread's partial write at the `Write` level; the CRC runs
+    // once over the kind byte and payload in place.
     let mut out = Vec::with_capacity(9 + payload.len());
     put_u32(&mut out, payload.len() as u32);
     out.push(kind);
     out.extend_from_slice(payload);
+    let mut crc = Crc32::new();
+    crc.update(&out[4..]);
     put_u32(&mut out, crc.finish());
     w.write_all(&out)?;
     w.flush()
@@ -576,9 +549,10 @@ impl ClientFrame {
                 (K_HELLO, buf)
             }
             ClientFrame::Accesses(batch) => {
+                buf.reserve(4 + RECORD_BYTES * batch.len());
                 put_u32(&mut buf, batch.len() as u32);
                 for a in batch {
-                    put_access(&mut buf, a);
+                    buf.extend_from_slice(&encode_record(a));
                 }
                 (K_ACCESSES, buf)
             }
@@ -635,11 +609,18 @@ impl ClientFrame {
                 if n.checked_mul(RECORD_BYTES) != Some(payload.len().saturating_sub(4)) {
                     return Err(ProtoError::BadPayload("record count disagrees with length"));
                 }
-                let mut batch = Vec::with_capacity(n);
-                for _ in 0..n {
-                    batch.push(get_access(&mut c)?);
-                }
-                ClientFrame::Accesses(batch)
+                let batch = payload[4..]
+                    .chunks_exact(RECORD_BYTES)
+                    .map(|r| {
+                        decode_record(r.try_into().expect("exact chunk")).map_err(|e| match e {
+                            traces::TraceError::BadKind(k) => ProtoError::BadKind(k),
+                            _ => ProtoError::BadPayload("bad record"),
+                        })
+                    })
+                    .collect::<Result<Vec<Access>, _>>()?;
+                // The length check above proved the records fill the
+                // payload exactly.
+                return Ok(ClientFrame::Accesses(batch));
             }
             K_KV_BATCH => {
                 let n = c.u32()? as usize;
@@ -832,6 +813,7 @@ pub fn error_code_for(e: &ProtoError) -> ErrorCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::AccessKind;
 
     fn sample_delta() -> Delta {
         Delta {

@@ -34,7 +34,7 @@ use crate::protocol::{
     error_code_for, recv_client, send_server, warning, ClientFrame, ErrorCode, Hello,
     LeaderboardRow, ProtoError, ServerFrame, PROTOCOL_VERSION,
 };
-use crate::session::{write_snapshot, Roster, Session, SnapshotError};
+use crate::session::{Roster, Session, SnapshotError};
 use sim_core::Access;
 use sim_fault::{ConnFault, ConnOp};
 use std::collections::HashMap;
@@ -303,9 +303,10 @@ impl Shared {
         Some(dir.join(format!("{safe}.ssn")))
     }
 
-    /// Writes `session`'s snapshot with retry; on exhaustion degrades the
-    /// session to ephemeral and reports the degradation through `outbox`
-    /// (when a connection is attached to hear it).
+    /// Persists `session` (first full, then append; nothing when it has
+    /// no new accesses) with retry; on exhaustion degrades the session to
+    /// ephemeral and reports the degradation through `outbox` (when a
+    /// connection is attached to hear it).
     fn snapshot_session(&self, session: &mut Session, outbox: Option<&SharedOutbox>) {
         if session.is_ephemeral() {
             return;
@@ -313,31 +314,22 @@ impl Shared {
         let Some(path) = self.snapshot_path(session.config().tenant.as_str()) else {
             return;
         };
-        let bytes = session.snapshot_bytes();
-        match write_snapshot(
-            &path,
-            &bytes,
-            self.config.backoff,
-            self.config.snapshot_attempts,
-        ) {
-            Ok(()) => {}
-            Err(e) => {
-                // Graceful degradation: the tenant keeps streaming, only
-                // crash-resumability is lost — and the client is told.
-                session.degrade_to_ephemeral();
-                eprintln!(
-                    "sim-serve: snapshot of tenant {:?} failed after {} attempts ({e}); session now ephemeral",
-                    session.config().tenant,
-                    self.config.snapshot_attempts
-                );
-                if let Some(outbox) = outbox {
-                    outbox.push_control(ServerFrame::Warning {
-                        code: warning::SNAPSHOT_DEGRADED,
-                        message: format!(
-                            "snapshots failing ({e}); session is now ephemeral and will not survive a daemon restart"
-                        ),
-                    });
-                }
+        if let Err(e) = session.persist(&path, self.config.backoff, self.config.snapshot_attempts) {
+            // Graceful degradation: the tenant keeps streaming, only
+            // crash-resumability is lost — and the client is told.
+            session.degrade_to_ephemeral();
+            eprintln!(
+                "sim-serve: snapshot of tenant {:?} failed after {} attempts ({e}); session now ephemeral",
+                session.config().tenant,
+                self.config.snapshot_attempts
+            );
+            if let Some(outbox) = outbox {
+                outbox.push_control(ServerFrame::Warning {
+                    code: warning::SNAPSHOT_DEGRADED,
+                    message: format!(
+                        "snapshots failing ({e}); session is now ephemeral and will not survive a daemon restart"
+                    ),
+                });
             }
         }
     }
@@ -464,8 +456,8 @@ impl Server {
 }
 
 /// Loads every `*.ssn` snapshot in `dir` as a detached session. Damaged
-/// snapshots are reported and skipped — one bad file must not take the
-/// daemon down.
+/// snapshots (and files of the retired `PLRUSSN1` format) are reported
+/// and skipped — one bad file must not take the daemon down.
 fn restore_sessions(dir: &Path, registry: &Roster, sessions: &mut HashMap<String, Slot>) {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
@@ -480,7 +472,7 @@ fn restore_sessions(dir: &Path, registry: &Roster, sessions: &mut HashMap<String
             continue;
         }
         let restore = std::fs::read(&path)
-            .map_err(|e| SnapshotError::Journal(traces::TraceError::Io(e)))
+            .map_err(SnapshotError::Io)
             .and_then(|bytes| Session::restore(&bytes, registry));
         match restore {
             Ok(session) => {

@@ -5,12 +5,15 @@
 //! snapshot disk faults.
 
 use sim_core::{Access, AccessKind};
+use sim_serve::protocol::RECORD_BYTES;
 use sim_serve::protocol::{
     recv_server, send_client, write_frame, ClientFrame, ErrorCode, GeometrySpec, Hello, KvOp,
     ServerFrame,
 };
 use sim_serve::server::{Server, ServerConfig, ServerHandle};
-use sim_serve::session::{canonical_stats, default_roster, reference_delta};
+use sim_serve::session::{
+    canonical_stats, default_roster, reference_delta, Session, SEGMENT_FRAMING,
+};
 use sim_serve::PROTOCOL_VERSION;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -589,6 +592,107 @@ fn snapshot_disk_fault_degrades_session_with_warning() {
     // And no snapshot file exists (the writes all failed atomically).
     assert!(!dir.join("tenant-deg.ssn").exists());
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn snapshot_disk_fault_after_the_first_image_degrades_with_one_warning() {
+    if !sim_fault::COMPILED_IN {
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("sim-serve-e2e-deg2-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    fn no_backoff(_attempt: u64) -> Duration {
+        Duration::from_millis(0)
+    }
+    let server = serve(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        snapshot_every: 50,
+        snapshot_attempts: 2,
+        backoff: no_backoff,
+        ..ServerConfig::default()
+    });
+    let accesses = stream(160, 56);
+
+    // The first image (at 60 accesses) lands; the append at 120 and its
+    // full-rewrite retry both fail.
+    let (warnings, fin) = sim_fault::with_plan("enospc@tenant-deg2.ssn:n=2:sticky", || {
+        let mut c = Client::connect(&server);
+        assert!(matches!(
+            c.hello("tenant-deg2", false, false, 1_000_000),
+            ServerFrame::HelloAck { .. }
+        ));
+        for chunk in accesses.chunks(20) {
+            c.send(&ClientFrame::Accesses(chunk.to_vec())).unwrap();
+        }
+        c.send(&ClientFrame::Finish).unwrap();
+        let (_, _, w, f) = c.drain_to_final();
+        (w, f)
+    });
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert_eq!(
+        warnings[0].0,
+        sim_serve::protocol::warning::SNAPSHOT_DEGRADED
+    );
+    let ServerFrame::Final { delta, .. } = fin else {
+        panic!("not final");
+    };
+    let reference = reference_delta(&accesses, &[], &default_roster(), spec()).unwrap();
+    assert_eq!(canonical_stats(&delta), canonical_stats(&reference));
+    server.shutdown();
+    // The file still holds the first image, intact.
+    let bytes = std::fs::read(dir.join("tenant-deg2.ssn")).unwrap();
+    let restored = Session::restore(&bytes, &default_roster()).unwrap();
+    assert_eq!(restored.ingested(), 60);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn finish_then_bye_writes_the_journal_once() {
+    let dir = std::env::temp_dir().join(format!("sim-serve-e2e-once-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let server = serve(ServerConfig {
+        snapshot_dir: Some(dir.clone()),
+        snapshot_every: 64,
+        ..ServerConfig::default()
+    });
+    let n = 1000;
+    let accesses = stream(n, 77);
+    let mut c = Client::connect(&server);
+    assert!(matches!(
+        c.hello("tenant-once", false, false, 64),
+        ServerFrame::HelloAck { .. }
+    ));
+    for chunk in accesses.chunks(16) {
+        c.send(&ClientFrame::Accesses(chunk.to_vec())).unwrap();
+    }
+    c.send(&ClientFrame::Finish).unwrap();
+    let (_, _, warnings, fin) = c.drain_to_final();
+    assert!(warnings.is_empty(), "{warnings:?}");
+    let ServerFrame::Final { delta, .. } = fin else {
+        panic!("not final");
+    };
+    let reference = reference_delta(&accesses, &[], &default_roster(), spec()).unwrap();
+    assert_eq!(canonical_stats(&delta), canonical_stats(&reference));
+
+    // Snapshots at every 64 accesses (15 of them, 960 accesses) and at
+    // Finish (the last 40): the header once, each record once, and one
+    // segment's framing per snapshot.
+    let path = dir.join("tenant-once.ssn");
+    let empty = Session::new("tenant-once", spec(), false, 64, &[], &default_roster())
+        .unwrap()
+        .snapshot_bytes()
+        .len();
+    let len = std::fs::metadata(&path).unwrap().len() as usize;
+    assert_eq!(len, empty + n * RECORD_BYTES + 15 * SEGMENT_FRAMING);
+
+    // Bye (and the shutdown after it) parks the session with nothing new
+    // to persist: no write at all, so a removed file stays removed.
+    std::fs::remove_file(&path).unwrap();
+    c.send(&ClientFrame::Bye).unwrap();
+    assert!(matches!(c.recv(), ServerFrame::Bye));
+    server.shutdown();
+    assert!(!path.exists(), "the finished session was written again");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

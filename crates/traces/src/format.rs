@@ -90,7 +90,48 @@ impl From<io::Error> for TraceError {
     }
 }
 
-/// Streaming CRC-32 (IEEE 802.3, reflected) used by the container.
+/// The reflected CRC-32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Slicing-by-8 lookup tables: `T[0]` is the classic byte-at-a-time
+/// table, and `T[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups advance the checksum by eight bytes.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 {
+                (c >> 1) ^ CRC32_POLY
+            } else {
+                c >> 1
+            };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    t
+}
+
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Streaming CRC-32 (IEEE 802.3, reflected) used by the container, the
+/// `sim-serve` frames and snapshots, workload spills, manifests and GA
+/// checkpoints. Slicing-by-8: the values are those of the bit-at-a-time
+/// definition, so every checksum already on disk stays valid.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32 {
     state: u32,
@@ -108,19 +149,29 @@ impl Crc32 {
         Crc32 { state: 0xffff_ffff }
     }
 
-    /// Feeds bytes into the checksum.
+    /// Feeds bytes into the checksum. One call over a whole buffer is
+    /// much cheaper than many calls over its pieces: the eight-byte
+    /// stride only runs over whole words of each call.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            let mut cur = (self.state ^ u32::from(b)) & 0xff;
-            for _ in 0..8 {
-                cur = if cur & 1 == 1 {
-                    (cur >> 1) ^ 0xedb8_8320
-                } else {
-                    cur >> 1
-                };
-            }
-            self.state = (self.state >> 8) ^ cur;
+        let t = &CRC32_TABLES;
+        let mut crc = self.state;
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xff) as usize]
+                ^ t[6][((lo >> 8) & 0xff) as usize]
+                ^ t[5][((lo >> 16) & 0xff) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xff) as usize]
+                ^ t[2][((hi >> 8) & 0xff) as usize]
+                ^ t[1][((hi >> 16) & 0xff) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in words.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+        }
+        self.state = crc;
     }
 
     /// Finishes and returns the checksum value.
@@ -146,13 +197,32 @@ fn kind_from_byte(b: u8) -> Result<AccessKind, TraceError> {
     }
 }
 
-fn encode_record(a: &Access) -> [u8; 21] {
-    let mut buf = [0u8; 21];
+/// Bytes per encoded record: kind u8 | addr u64 | pc u64 | icount_delta u32.
+pub const RECORD_BYTES: usize = 21;
+
+/// Encodes one access in the container's record layout (shared by the
+/// `sim-serve` wire format and its snapshot segments).
+pub fn encode_record(a: &Access) -> [u8; RECORD_BYTES] {
+    let mut buf = [0u8; RECORD_BYTES];
     buf[0] = kind_to_byte(a.kind);
     buf[1..9].copy_from_slice(&a.addr.to_le_bytes());
     buf[9..17].copy_from_slice(&a.pc.to_le_bytes());
     buf[17..21].copy_from_slice(&a.icount_delta.to_le_bytes());
     buf
+}
+
+/// Decodes one record written by [`encode_record`].
+///
+/// # Errors
+///
+/// [`TraceError::BadKind`] for an unknown kind byte.
+pub fn decode_record(rec: &[u8; RECORD_BYTES]) -> Result<Access, TraceError> {
+    Ok(Access {
+        kind: kind_from_byte(rec[0])?,
+        addr: u64::from_le_bytes(rec[1..9].try_into().expect("8 bytes")),
+        pc: u64::from_le_bytes(rec[9..17].try_into().expect("8 bytes")),
+        icount_delta: u32::from_le_bytes(rec[17..21].try_into().expect("4 bytes")),
+    })
 }
 
 /// Writes a trace container to any [`Write`] sink.
@@ -313,39 +383,33 @@ impl<R: Read> Iterator for TraceReader<R> {
         if self.done {
             return None;
         }
-        let mut kind_byte = [0u8; 1];
-        if let Err(_e) = self.source.read_exact(&mut kind_byte) {
+        let mut rec = [0u8; RECORD_BYTES];
+        if let Err(_e) = self.source.read_exact(&mut rec[..1]) {
             self.done = true;
             return Some(Err(TraceError::Truncated));
         }
-        if kind_byte[0] == FOOTER_SENTINEL {
+        if rec[0] == FOOTER_SENTINEL {
             self.done = true;
             return match self.read_footer() {
                 Ok(()) => None,
                 Err(e) => Some(Err(e)),
             };
         }
-        let mut rest = [0u8; 20];
-        if self.source.read_exact(&mut rest).is_err() {
+        if self.source.read_exact(&mut rec[1..]).is_err() {
             self.done = true;
             return Some(Err(TraceError::Truncated));
         }
-        let kind = match kind_from_byte(kind_byte[0]) {
-            Ok(k) => k,
+        match decode_record(&rec) {
+            Ok(access) => {
+                self.crc.update(&rec);
+                self.count += 1;
+                Some(Ok(access))
+            }
             Err(e) => {
                 self.done = true;
-                return Some(Err(e));
+                Some(Err(e))
             }
-        };
-        self.crc.update(&kind_byte);
-        self.crc.update(&rest);
-        self.count += 1;
-        Some(Ok(Access {
-            kind,
-            addr: u64::from_le_bytes(rest[0..8].try_into().expect("8 bytes")),
-            pc: u64::from_le_bytes(rest[8..16].try_into().expect("8 bytes")),
-            icount_delta: u32::from_le_bytes(rest[16..20].try_into().expect("4 bytes")),
-        }))
+        }
     }
 }
 
@@ -465,6 +529,51 @@ mod tests {
         let mut c = Crc32::new();
         c.update(b"123456789");
         assert_eq!(c.finish(), 0xcbf4_3926);
+    }
+
+    /// The bit-at-a-time CRC-32 definition the tables are built from.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut state = 0xffff_ffffu32;
+        for &b in bytes {
+            let mut cur = (state ^ u32::from(b)) & 0xff;
+            for _ in 0..8 {
+                cur = if cur & 1 == 1 {
+                    (cur >> 1) ^ 0xedb8_8320
+                } else {
+                    cur >> 1
+                };
+            }
+            state = (state >> 8) ^ cur;
+        }
+        state ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn crc32_tables_match_the_bitwise_definition_at_any_split() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let lens = (0..=64usize).chain([255, 1000, 4096 + 3, 100_003]);
+        for len in lens {
+            let buf: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+            let want = crc32_bitwise(&buf);
+            let mut whole = Crc32::new();
+            whole.update(&buf);
+            assert_eq!(whole.finish(), want, "len {len}");
+            for _ in 0..8 {
+                let a = (next() as usize) % (len + 1);
+                let b = a + (next() as usize) % (len - a + 1);
+                let mut split = Crc32::new();
+                split.update(&buf[..a]);
+                split.update(&buf[a..b]);
+                split.update(&buf[b..]);
+                assert_eq!(split.finish(), want, "len {len} split at {a}, {b}");
+            }
+        }
     }
 
     #[test]

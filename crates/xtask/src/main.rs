@@ -436,9 +436,10 @@ fn lint_direct_writes(root: &Path) -> usize {
 /// island fleet (GA checkpoints, migration mailboxes, worker results,
 /// the fleet manifest) and the serving daemon (per-tenant session
 /// snapshots, the published port file). Both rest on every durable
-/// write going through `sim_core::persist::atomic_write`. The negative
-/// direct-write audit above catches raw `fs::write` calls; this
-/// positive audit fails if those sources stop routing through the
+/// write going through `sim_core::persist`: `atomic_write` everywhere,
+/// plus `append_at` for the session snapshots' append-only segments,
+/// whose torn tail restore drops. The negative direct-write audit above
+/// catches raw `fs::write` calls; this positive audit fails if those sources stop routing through the
 /// crash-safe helpers entirely (say, a refactor to a hand-rolled writer
 /// whose call shape the negative audit's pattern list misses).
 fn lint_island_atomicity(root: &Path) -> usize {
@@ -460,15 +461,21 @@ fn lint_island_atomicity(root: &Path) -> usize {
             &["atomic_write"],
         ),
         ("crates/harness/src/manifest.rs", &["atomic_write"]),
-        // Serving daemon: session snapshots retry through atomic_write...
+        // Serving daemon: a session's first snapshot (and every retry)
+        // replaces the file through atomic_write, later ones append their
+        // segment through persist::append_at...
         (
             "crates/sim-serve/src/session.rs",
-            &["persist::atomic_write", "write_snapshot"],
+            &[
+                "persist::atomic_write",
+                "persist::append_at",
+                "write_snapshot",
+            ],
         ),
         // ...and the server parks sessions only via that snapshot path.
         (
             "crates/sim-serve/src/server.rs",
-            &["write_snapshot", "snapshot_session"],
+            &["session.persist(", "snapshot_session"],
         ),
         // Port file and client stats files are poll-read by other
         // processes, so a torn write is an immediate race.
@@ -487,8 +494,8 @@ fn lint_island_atomicity(root: &Path) -> usize {
             if !source.contains(needle) {
                 eprintln!(
                     "lint(island-atomicity): {rel} no longer references `{needle}`; \
-                     island checkpoint/mailbox/manifest writes must stay on the \
-                     sim_core::persist::atomic_write path"
+                     checkpoint/mailbox/manifest/snapshot writes must stay on \
+                     the sim_core::persist path"
                 );
                 failures += 1;
             }
